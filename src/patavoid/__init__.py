@@ -5,8 +5,8 @@ Core objects are plain tuples (permutations in one-line notation over 1..n)
 and tuples of them (pattern sets). The package covers:
 
 - containment/avoidance tests and the eight matrix symmetries (perms);
-- exact avoider counting and enumeration via a pruned insertion tree, with
-  a vectorized default engine and a brute-force oracle (counting);
+- exact avoider counting and enumeration via a pruned insertion tree grown
+  level by level in numpy, and brute-force and tree oracles (counting);
 - template-generated permutation families, their finite avoidance
   certificates, and the three-segment counting recurrences (templates);
 - classification of counting sequences: eventually zero, eventually
@@ -71,7 +71,6 @@ from .templates import (
     certification_bound,
     certify_avoidance,
     generate_family,
-    generate_single,
     parse_template,
     parse_template_list,
     template,
@@ -116,7 +115,6 @@ __all__ = [
     "flatten",
     "format_perm",
     "generate_family",
-    "generate_single",
     "invert_symmetry",
     "parse_pattern_list",
     "parse_perm",

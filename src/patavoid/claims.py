@@ -7,13 +7,14 @@ on the command line is a thin wrapper over this registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .counting import count_avoiders
-from .perms import canonicalize_set, parse_pattern_list, parse_perm, pattern_set
-from .seqanalysis import detect_eventual_polynomial, detect_fib_like
-from .survey import enumerate_symmetry_classes, polynomial_scan, random_experiment, wilf_survey
-from .templates import certify_avoidance, generate_family, parse_template, three_segment_counts
+from .perms import canonicalize_set, parse_pattern_list, parse_perm
+from .seqanalysis import classify, detect_eventual_polynomial, detect_fib_like
+from .survey import cluster_fingerprints, enumerate_symmetry_classes, fill_counts, polynomial_scan, random_experiment
+from .templates import certify_avoidance, generate_family, parse_template_list, three_segment_counts
 
 CATALAN_12 = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
@@ -74,10 +75,18 @@ def check_sym1524(workers: int = 1, seed: int = 42) -> ClaimResult:
     return res
 
 
+@lru_cache(maxsize=1)
+def _survey_4x4(workers: int) -> tuple:
+    """The 1524 classes counted to N=10, counted once per process for wilf1100 and polyscan."""
+    records = enumerate_symmetry_classes(4, 4)
+    fill_counts(records, 10, workers=workers)
+    return tuple(records)
+
+
 def check_wilf1100(workers: int = 1, seed: int = 42) -> ClaimResult:
     res = _result("wilf1100")
-    records = enumerate_symmetry_classes(4, 4)
-    clustering = wilf_survey(records, 10, workers=workers)
+    records = _survey_4x4(workers)
+    clustering = cluster_fingerprints(records, 10)
     distinct = clustering.num_distinct
     res.add(
         1100 <= distinct <= 1524,
@@ -96,9 +105,7 @@ def check_wilf1100(workers: int = 1, seed: int = 42) -> ClaimResult:
 
 def check_polyscan(workers: int = 1, seed: int = 42) -> ClaimResult:
     res = _result("polyscan")
-    records = enumerate_symmetry_classes(4, 4)
-    wilf_survey(records, 10, workers=workers)
-    flagged = polynomial_scan(records, 10, 7)
+    flagged = polynomial_scan(_survey_4x4(workers), 10, 7)
     total = len(flagged)
     res.add(50 <= total <= 75, f"polynomial classes at horizon 10: expected in [50, 75], got {total}")
     by_class = dict(flagged)
@@ -109,34 +116,28 @@ def check_polyscan(workers: int = 1, seed: int = 42) -> ClaimResult:
     return res
 
 
-def check_prop4(workers: int = 1, seed: int = 42) -> ClaimResult:
-    res = _result("prop4")
-    template = parse_template("45312:10101")
-    patterns = pattern_set([parse_perm(t) for t in ("2143", "2413", "3142")])
-    cert = certify_avoidance([template], patterns)
+def _check_family(claim: str, templates: str, patterns: str, variants: int) -> ClaimResult:
+    """A template family's certificate, its counting recurrence, and the lower bound it gives."""
+    res = _result(claim)
+    tset = parse_template_list(templates)
+    sigma = parse_pattern_list(patterns)
+    cert = certify_avoidance(tset, sigma)
     res.add(cert.verified and cert.bound == 10, f"certificate: expected verified at bound 10, got verified={cert.verified} bound={cert.bound}")
-    rec = three_segment_counts(9)
-    sizes = tuple(len(generate_family([template], n)) for n in range(10))
+    rec = three_segment_counts(9, variants=variants)
+    sizes = tuple(len(generate_family(tset, n)) for n in range(10))
     res.add(sizes == rec.counts, f"recurrence vs generated sizes n<=9: {rec.counts} vs {sizes}")
-    avoid = count_avoiders(patterns, 9).counts
+    avoid = count_avoiders(sigma, 9).counts
     ok = all(rec.counts[n] <= avoid[n] for n in range(10))
     res.add(ok, f"lower bound holds n<=9: family {rec.counts} <= class {avoid}")
     return res
+
+
+def check_prop4(workers: int = 1, seed: int = 42) -> ClaimResult:
+    return _check_family("prop4", "45312:10101", "2143,2413,3142", variants=1)
 
 
 def check_prop7(workers: int = 1, seed: int = 42) -> ClaimResult:
-    res = _result("prop7")
-    templates = [parse_template("14253:10101"), parse_template("15243:10101")]
-    patterns = pattern_set([parse_perm(t) for t in ("2341", "2413", "2431", "3241")])
-    cert = certify_avoidance(templates, patterns)
-    res.add(cert.verified and cert.bound == 10, f"certificate: expected verified at bound 10, got verified={cert.verified} bound={cert.bound}")
-    rec = three_segment_counts(9, variants=2)
-    sizes = tuple(len(generate_family(templates, n)) for n in range(10))
-    res.add(sizes == rec.counts, f"recurrence vs generated sizes n<=9: {rec.counts} vs {sizes}")
-    avoid = count_avoiders(patterns, 9).counts
-    ok = all(rec.counts[n] <= avoid[n] for n in range(10))
-    res.add(ok, f"lower bound holds n<=9: family {rec.counts} <= class {avoid}")
-    return res
+    return _check_family("prop7", "14253:10101,15243:10101", "2341,2413,2431,3241", variants=2)
 
 
 def check_fiblike(workers: int = 1, seed: int = 42) -> ClaimResult:
@@ -144,6 +145,8 @@ def check_fiblike(workers: int = 1, seed: int = 42) -> ClaimResult:
     fit = detect_fib_like(list(FIB_EXAMPLE))
     got = None if fit is None else (fit.a, fit.b, fit.threshold)
     res.add(got == (0, -5, 6), f"drift recurrence on the 13-term example: expected (a,b,threshold)=(0,-5,6), got {got}")
+    verdict = classify(list(FIB_EXAMPLE)).verdict
+    res.add(verdict == "fib_like", f"classifier verdict on the example: expected fib_like, got {verdict}")
     return res
 
 

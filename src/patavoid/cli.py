@@ -25,7 +25,7 @@ from .counting import (
 )
 from .perms import format_perm, parse_pattern_list
 from .seqanalysis import classify
-from .survey import polynomial_scan, random_experiment, read_survey, run_survey_to_file
+from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
 from .templates import certify_avoidance, generate_family, parse_template_list
 
 
@@ -60,6 +60,12 @@ def _parse_seq(text: str) -> list[int]:
     return out
 
 
+def _worker_count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="patavoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -68,7 +74,6 @@ def build_parser() -> Parser:
     p_count.add_argument("--patterns", required=True, help="e.g. 1234,1243,1342,4231")
     p_count.add_argument("--max-n", type=int, required=True)
     p_count.add_argument("--naive", action="store_true", help="use the n!-filter oracle")
-    p_count.add_argument("--engine", choices=["vector", "tree"], default="vector")
     p_count.add_argument("--emit", choices=["text", "json", "csv"], default="text")
     p_count.add_argument("--from-one", action="store_true", help="drop the length-0 entry")
     p_count.add_argument("--node-budget", type=int, default=None)
@@ -95,7 +100,7 @@ def build_parser() -> Parser:
     p_survey.add_argument("--pattern-length", type=int, default=4)
     p_survey.add_argument("--max-n", type=int, default=10)
     p_survey.add_argument("--out", default=None, help="JSONL output (resumable)")
-    p_survey.add_argument("--workers", type=int, default=1)
+    p_survey.add_argument("--workers", type=_worker_count, default=1)
     p_survey.add_argument("--node-budget", type=int, default=None)
     ssub = p_survey.add_subparsers(dest="survey_cmd", metavar="SUBCOMMAND")
     p_wilf = ssub.add_parser("wilf", help="fingerprint clustering of a finished survey")
@@ -113,13 +118,13 @@ def build_parser() -> Parser:
     p_exp.add_argument("--max-n", type=int, required=True)
     p_exp.add_argument("--trials", type=int, required=True)
     p_exp.add_argument("--seed", type=int, default=42)
-    p_exp.add_argument("--workers", type=int, default=1)
+    p_exp.add_argument("--workers", type=_worker_count, default=1)
     p_exp.add_argument("--node-budget", type=int, default=None)
     p_exp.add_argument("--emit", choices=["text", "json"], default="text")
 
     p_rep = sub.add_parser("reproduce", help="run a named reproduction check")
     p_rep.add_argument("claim", help=f"one of: {', '.join(sorted(CLAIMS))}")
-    p_rep.add_argument("--workers", type=int, default=1)
+    p_rep.add_argument("--workers", type=_worker_count, default=1)
     p_rep.add_argument("--seed", type=int, default=42)
 
     return parser
@@ -128,14 +133,14 @@ def build_parser() -> Parser:
 def _cmd_count(args) -> int:
     patterns = parse_pattern_list(args.patterns)
     if args.enumerate:
-        members = enumerate_avoiders(patterns, args.max_n, engine=args.engine, node_budget=args.node_budget)
+        members = enumerate_avoiders(patterns, args.max_n, node_budget=args.node_budget)
         for pi in sorted(members):
             _emit(format_perm(pi))
         return 0
     if args.naive:
         seq = count_avoiders_naive(patterns, args.max_n)
     else:
-        seq = count_avoiders(patterns, args.max_n, engine=args.engine, node_budget=args.node_budget)
+        seq = count_avoiders(patterns, args.max_n, node_budget=args.node_budget)
     counts = list(seq.counts[1:] if args.from_one else seq.counts)
     if args.emit == "json":
         _emit_json({
@@ -230,26 +235,19 @@ def _cmd_survey(args) -> int:
     if args.survey_cmd == "wilf":
         records = _survey_records(args)
         horizon = _horizon(args, records)
-        clusters: dict = {}
-        failed = 0
-        for r in records:
-            if r.counts is None:
-                failed += 1
-                continue
-            if len(r.counts) < horizon:
-                raise CLIError(f"record {r.patterns} has fewer than {horizon} counts")
-            clusters.setdefault(tuple(r.counts[:horizon]), []).append(r)
+        clustering = cluster_fingerprints(records, horizon)
+        failed = len(clustering.failed)
         payload = {
             "horizon": horizon,
             "records": len(records),
             "failed": failed,
-            "distinct_fingerprints": len(clusters),
+            "distinct_fingerprints": clustering.num_distinct,
             "clusters": [
                 {
                     "counts": list(fp),
                     "classes": [[format_perm(p) for p in r.patterns] for r in group],
                 }
-                for fp, group in sorted(clusters.items())
+                for fp, group in sorted(clustering.clusters.items())
             ],
         }
         if args.emit == "json":
@@ -257,7 +255,7 @@ def _cmd_survey(args) -> int:
         else:
             _emit(
                 f"records: {len(records)}  failed: {failed}  horizon: {horizon}  "
-                f"distinct fingerprints (Wilf lower bound): {len(clusters)}"
+                f"distinct fingerprints (Wilf lower bound): {clustering.num_distinct}"
             )
         return 0
     if args.survey_cmd == "polyscan":

@@ -13,19 +13,14 @@ Checking a child only requires looking for pattern occurrences that use the
 newly inserted maximum (anything else would already occur in the parent).
 An occurrence of sigma using the new maximum at gap p is the same thing as
 an embedding, in the parent, of sigma with its maximum deleted, positioned
-so that gap p splits the embedding exactly at the deleted maximum. Both
-engines below exploit this:
+so that gap p splits the embedding exactly at the deleted maximum.
 
-- engine="vector" processes whole tree levels as numpy arrays, testing all
-  candidate embeddings of each reduced pattern with one gather and one
-  matrix product per pattern. This is the default; it is exact and is what
-  makes full surveys practical.
-- engine="tree" is a direct per-permutation implementation, kept deliberately
-  simple, with an optional ``debug_full_check`` that re-tests children
-  against the whole pattern set instead of only the new maximum.
-
-``count_avoiders_naive`` filters all n! permutations and exists purely as an
-independent oracle for the engines above.
+``count_avoiders`` and ``enumerate_avoiders`` process whole tree levels as
+numpy arrays, testing all candidate embeddings of each reduced pattern with
+one gather and one matrix product per pattern. Two independent oracles back
+them in the tests: ``count_avoiders_naive`` filters all n! permutations (up
+to n=8), and ``count_avoiders_tree`` grows the same tree one permutation at
+a time in plain python, kept deliberately simple, for lengths past that.
 """
 from __future__ import annotations
 
@@ -93,7 +88,7 @@ def _prepare(patterns: Iterable[Sequence[int]]) -> tuple[PatternSet, list[tuple[
     prepped = []
     for s in sigma:
         if len(s) == 0:
-            continue  # handled by callers: nothing avoids the empty pattern
+            continue  # the growers start from no rows: nothing avoids the empty pattern
         m_idx = s.index(len(s))
         reduced = s[:m_idx] + s[m_idx + 1:]
         prepped.append((s, m_idx, reduced))
@@ -113,7 +108,7 @@ def _gap_range(positions: Sequence[int], m_idx: int, n: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Pure-python tree engine
+# Pure-python tree (the oracle behind count_avoiders_tree)
 # ---------------------------------------------------------------------------
 
 def _occurrence_gaps(parent: Perm, reduced: Perm, m_idx: int) -> Iterator[tuple[int, int]]:
@@ -170,7 +165,6 @@ def _grow_tree(
     prepped: list[tuple[Perm, int, Perm]],
     max_n: int,
     budget: int,
-    debug_full_check: bool,
 ) -> Iterator[list[Perm]]:
     """Yield the avoider levels 0..max_n in order, as lists of tuples."""
     level: list[Perm] = [()] if avoids((), patterns) else []
@@ -180,17 +174,10 @@ def _grow_tree(
         new_val = n + 1
         nxt: list[Perm] = []
         for parent in level:
-            if debug_full_check:
-                keep = [
-                    p
-                    for p in range(n + 1)
-                    if avoids(parent[:p] + (new_val,) + parent[p:], patterns)
-                ]
-            else:
-                bad = _bad_gaps(parent, prepped)
-                keep = [p for p in range(n + 1) if p not in bad]
-            for p in keep:
-                nxt.append(parent[:p] + (new_val,) + parent[p:])
+            bad = _bad_gaps(parent, prepped)
+            for p in range(n + 1):
+                if p not in bad:
+                    nxt.append(parent[:p] + (new_val,) + parent[p:])
         nodes += len(nxt)
         if nodes > budget:
             raise BudgetExceededError(
@@ -307,34 +294,19 @@ def _grow_vector(
 # ---------------------------------------------------------------------------
 
 def _levels(
-    patterns: Iterable[Sequence[int]],
-    max_n: int,
-    engine: str,
-    node_budget: int | None,
-    debug_full_check: bool,
-) -> tuple[PatternSet, Iterator]:
+    patterns: Iterable[Sequence[int]], max_n: int, node_budget: int | None
+) -> tuple[PatternSet, Iterator[np.ndarray]]:
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    if engine not in ("vector", "tree"):
-        raise ValueError(f"unknown engine {engine!r}; expected 'vector' or 'tree'")
     sigma, prepped = _prepare(patterns)
-    budget = resolve_node_budget(node_budget)
-    if any(len(s) == 0 for s in sigma):
-        # the empty pattern occurs in everything, including the empty perm
-        empty: Iterator = iter([[] for _ in range(max_n + 1)])
-        return sigma, empty
-    if engine == "vector":
-        return sigma, _grow_vector(sigma, prepped, max_n, budget)
-    return sigma, _grow_tree(sigma, prepped, max_n, budget, debug_full_check)
+    return sigma, _grow_vector(sigma, prepped, max_n, resolve_node_budget(node_budget))
 
 
 def count_avoiders(
     patterns: Iterable[Sequence[int]],
     max_n: int,
     *,
-    engine: str = "vector",
     node_budget: int | None = None,
-    debug_full_check: bool = False,
 ) -> CountSequence:
     """
     The number of permutations of each length 0..max_n avoiding every
@@ -345,7 +317,7 @@ def count_avoiders(
     >>> count_avoiders([(1,)], 3).counts
     (1, 0, 0, 0)
     """
-    sigma, levels = _levels(patterns, max_n, engine, node_budget, debug_full_check)
+    sigma, levels = _levels(patterns, max_n, node_budget)
     counts = tuple(len(level) for level in levels)
     return CountSequence(counts=counts, patterns=sigma)
 
@@ -354,7 +326,6 @@ def enumerate_avoiders(
     patterns: Iterable[Sequence[int]],
     n: int,
     *,
-    engine: str = "vector",
     node_budget: int | None = None,
 ) -> frozenset[Perm]:
     """
@@ -364,13 +335,11 @@ def enumerate_avoiders(
     >>> sorted(enumerate_avoiders([(1, 2)], 3))
     [(3, 2, 1)]
     """
-    _sigma, levels = _levels(patterns, n, engine, node_budget, False)
+    _sigma, levels = _levels(patterns, n, node_budget)
     last = None
     for last in levels:
         pass
-    if isinstance(last, np.ndarray):
-        return frozenset(tuple(int(v) for v in row) for row in last)
-    return frozenset(last)
+    return frozenset(tuple(int(v) for v in row) for row in last)
 
 
 def count_avoiders_naive(patterns: Iterable[Sequence[int]], max_n: int) -> CountSequence:
@@ -387,3 +356,15 @@ def count_avoiders_naive(patterns: Iterable[Sequence[int]], max_n: int) -> Count
         sum(1 for pi in all_perms(n) if avoids(pi, sigma)) for n in range(max_n + 1)
     )
     return CountSequence(counts=counts, patterns=sigma)
+
+
+def count_avoiders_tree(patterns: Iterable[Sequence[int]], max_n: int) -> CountSequence:
+    """
+    Count by growing the insertion tree one permutation at a time, sharing
+    none of the numpy kernel. Oracle only, for lengths past the naive cap.
+    """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    sigma, prepped = _prepare(patterns)
+    levels = _grow_tree(sigma, prepped, max_n, resolve_node_budget(None))
+    return CountSequence(counts=tuple(len(level) for level in levels), patterns=sigma)

@@ -14,7 +14,9 @@ classes, and is always reported together with its horizon.
 
 Long surveys stream results to a JSON Lines file as they complete, one
 record per line, so an interrupted survey resumes by skipping the classes
-already on disk.
+already on disk. Readers skip a final line torn by an interrupted write,
+and a resumed survey cuts it off; a line that does not parse, or a stored
+record counted to another horizon, is an error naming the file and line.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .counting import BudgetExceededError, count_avoiders, resolve_node_budget
 from .perms import (
@@ -107,26 +109,31 @@ def enumerate_symmetry_classes(
 # Counting the records (parallelizable map)
 # ---------------------------------------------------------------------------
 
-def _count_one(args: tuple[PatternSet, int, int]) -> tuple[PatternSet, tuple[int, ...] | None, str | None]:
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
+def _pool_map(fn: Callable, tasks: list, workers: int, chunksize: int) -> Iterator:
+    """
+    ``fn`` over ``tasks`` in task order, so output is the same for any worker
+    count: serially for one worker or task, else on a fork pool.
+    """
+    _check_workers(workers)
+    if workers == 1 or len(tasks) <= 1:
+        yield from map(fn, tasks)
+        return
+    with get_context("fork").Pool(workers) as pool:
+        yield from pool.imap(fn, tasks, chunksize=chunksize)
+
+
+def _count_one(args: tuple[PatternSet, int, int]) -> tuple[tuple[int, ...] | None, str | None]:
     patterns, max_n, budget = args
     try:
         seq = count_avoiders(patterns, max_n, node_budget=budget)
-        return patterns, tuple(seq.counts[1:]), None
+        return tuple(seq.counts[1:]), None
     except BudgetExceededError as e:
-        return patterns, None, str(e)
-
-
-def _map_counts(
-    tasks: list[tuple[PatternSet, int, int]], workers: int
-) -> Iterator[tuple[PatternSet, tuple[int, ...] | None, str | None]]:
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield _count_one(task)
-        return
-    ctx = get_context("fork")
-    with ctx.Pool(workers) as pool:
-        # ordered imap keeps the output stream deterministic for any K
-        yield from pool.imap(_count_one, tasks, chunksize=8)
+        return None, str(e)
 
 
 def fill_counts(
@@ -146,9 +153,7 @@ def fill_counts(
     budget = resolve_node_budget(node_budget)
     todo = [r for r in records if r.counts is None and r.error is None]
     tasks = [(r.patterns, max_n, budget) for r in todo]
-    by_patterns = {r.patterns: r for r in todo}
-    for patterns, counts, error in _map_counts(tasks, workers):
-        record = by_patterns[patterns]
+    for record, (counts, error) in zip(todo, _pool_map(_count_one, tasks, workers, chunksize=8)):
         record.counts = counts
         record.error = error
         if counts is not None and classify_records:
@@ -184,22 +189,31 @@ def wilf_survey(
     stream: IO[str] | None = None,
 ) -> WilfClustering:
     """
-    Count every record up to max_n and group by the fingerprint
-    (counts at lengths 1..max_n). Records that blow the node budget are
-    collected under ``failed`` instead of aborting the survey.
+    Count every record up to max_n and cluster them at horizon max_n.
+    Records that blow the node budget are collected under ``failed``
+    instead of aborting the survey.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     fill_counts(records, max_n, workers=workers, node_budget=node_budget, stream=stream)
+    return cluster_fingerprints(records, max_n)
+
+
+def cluster_fingerprints(records: Iterable[SurveyRecord], horizon: int) -> WilfClustering:
+    """
+    Group records by fingerprint, their counts at lengths 1..horizon; those
+    without counts go under ``failed``, and one with fewer counts raises.
+    """
     clusters: dict[tuple[int, ...], list[SurveyRecord]] = {}
     failed = []
     for record in records:
         if record.counts is None:
             failed.append(record)
-            continue
-        fingerprint = tuple(record.counts[:max_n])
-        clusters.setdefault(fingerprint, []).append(record)
-    return WilfClustering(horizon=max_n, clusters=clusters, failed=failed)
+        elif len(record.counts) < horizon:
+            raise ValueError(f"record {record.patterns} has fewer than {horizon} counts")
+        else:
+            clusters.setdefault(tuple(record.counts[:horizon]), []).append(record)
+    return WilfClustering(horizon=horizon, clusters=clusters, failed=failed)
 
 
 def polynomial_scan(
@@ -345,12 +359,7 @@ def random_experiment(
         raise ValueError("trials must be >= 1")
     budget = resolve_node_budget(node_budget)
     tasks = [(seed, t, num_patterns, pattern_length, max_n, budget) for t in range(trials)]
-    if workers <= 1:
-        results = [_run_trial(task) for task in tasks]
-    else:
-        ctx = get_context("fork")
-        with ctx.Pool(workers) as pool:
-            results = list(pool.imap(_run_trial, tasks, chunksize=4))
+    results = list(_pool_map(_run_trial, tasks, workers, chunksize=4))
     bucket_counts = {b: 0 for b in BUCKETS}
     fib = 0
     fib_strict = 0
@@ -389,14 +398,30 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
     return record
 
 
-def read_survey(path: str) -> list[SurveyRecord]:
+def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
+    """
+    The records of a survey file with their line numbers, and the byte
+    length of its lines up to a torn final one (without its newline).
+    """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(record_from_json_dict(json.loads(line)))
-    return records
+    complete = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if not raw.endswith(b"\n"):
+                break  # torn by an interrupted write
+            complete += len(raw)
+            if not raw.strip():
+                continue
+            try:
+                records.append((lineno, record_from_json_dict(json.loads(raw))))
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}, line {lineno}: not a survey record ({e})") from None
+    return records, complete
+
+
+def read_survey(path: str) -> list[SurveyRecord]:
+    """The records of a survey file, skipping a torn final line."""
+    return [record for _lineno, record in _load_survey(path)[0]]
 
 
 def run_survey_to_file(
@@ -411,25 +436,24 @@ def run_survey_to_file(
 ) -> list[SurveyRecord]:
     """
     Enumerate symmetry classes, count each representative to max_n, and
-    stream finished records to out_path as JSON Lines. If the file already
-    holds records, their classes are skipped (resume semantics) and the
-    loaded records are merged into the result.
+    stream finished records to out_path as JSON Lines. Classes already in
+    the file are skipped and their records merged into the result (resume,
+    under the rules of the module docstring). Errors, including a worker
+    count below 1, are raised before the file is changed.
     """
-    records = enumerate_symmetry_classes(
-        num_patterns, pattern_length, subset_budget=subset_budget
-    )
-    done: dict[PatternSet, SurveyRecord] = {}
+    _check_workers(workers)
+    classes = enumerate_symmetry_classes(num_patterns, pattern_length, subset_budget=subset_budget)
     try:
-        for prior in read_survey(out_path):
-            done[prior.patterns] = prior
+        stored, complete = _load_survey(out_path)
     except FileNotFoundError:
-        pass
-    for record in records:
-        prior = done.get(record.patterns)
-        if prior is not None and (prior.counts is not None or prior.error is not None):
-            record.counts = prior.counts
-            record.report = prior.report
-            record.error = prior.error
+        stored, complete = [], 0
+    done: dict[PatternSet, SurveyRecord] = {}
+    for lineno, prior in stored:
+        if prior.counts is not None and len(prior.counts) != max_n:
+            raise ValueError(f"{out_path}, line {lineno}: counted to n={len(prior.counts)}, this survey to n={max_n}")
+        done[prior.patterns] = prior
+    records = [done.get(record.patterns, record) for record in classes]
     with open(out_path, "a", encoding="utf-8") as fh:
+        fh.truncate(complete)
         fill_counts(records, max_n, workers=workers, node_budget=node_budget, stream=fh)
     return records

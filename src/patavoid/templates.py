@@ -178,15 +178,13 @@ def generate_family(templates: Iterable[Template | tuple], n: int) -> frozenset[
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    tset = template_set(templates)
+    return _family_at(template_set(templates), n)
+
+
+def _family_at(tset: TemplateSet, n: int) -> frozenset[Perm]:
     for m in range(2, n):  # warm the cache iteratively; keeps recursion shallow
         _family(tset, m)
     return _family(tset, n)
-
-
-def generate_single(t: Template | tuple, n: int) -> frozenset[Perm]:
-    """Family of a single template; same as generate_family([t], n)."""
-    return generate_family([t], n)
 
 
 def clear_family_cache() -> None:
@@ -242,25 +240,24 @@ def certify_avoidance(
     if not sigma or any(len(s) == 0 for s in sigma):
         raise ValueError("pattern set must be nonempty, with nonempty patterns")
     bound = max(certification_bound(tset, len(s)) for s in sigma)
-    for m in range(bound + 1):
+    witness, witness_pattern = _first_witness(tset, sigma, bound)
+    return Certificate(
+        templates=tset, patterns=sigma, bound=bound,
+        verified=witness is None, witness=witness, witness_pattern=witness_pattern,
+    )
+
+
+def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tuple[Perm | None, Perm | None]:
+    """
+    The first member up to max_length (by length, then lexicographic) that
+    contains a pattern of sigma, and that pattern; (None, None) if none does.
+    """
+    for m in range(max_length + 1):
         for pi in sorted(_family_at(tset, m)):
             for s in sigma:
                 if contains(pi, s):
-                    return Certificate(
-                        templates=tset,
-                        patterns=sigma,
-                        bound=bound,
-                        verified=False,
-                        witness=pi,
-                        witness_pattern=s,
-                    )
-    return Certificate(templates=tset, patterns=sigma, bound=bound, verified=True)
-
-
-def _family_at(tset: TemplateSet, m: int) -> frozenset[Perm]:
-    for i in range(2, m):
-        _family(tset, i)
-    return _family(tset, m)
+                    return pi, s
+    return None, None
 
 
 def verify_family_avoids(
@@ -274,13 +271,8 @@ def verify_family_avoids(
     first witness or None). Used to spot-check certificates past their
     theorem bound.
     """
-    tset = template_set(templates)
-    sigma = pattern_set(patterns)
-    for m in range(max_length + 1):
-        for pi in sorted(_family_at(tset, m)):
-            if not all(not contains(pi, s) for s in sigma):
-                return False, pi
-    return True, None
+    witness, _pattern = _first_witness(template_set(templates), pattern_set(patterns), max_length)
+    return witness is None, witness
 
 
 # ---------------------------------------------------------------------------

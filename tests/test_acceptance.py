@@ -8,36 +8,11 @@ import os
 import random
 import time
 
-import pytest
-
-from patavoid.counting import count_avoiders, count_avoiders_naive
-from patavoid.perms import all_perms, canonicalize_set, parse_pattern_list, pattern_set
-from patavoid.seqanalysis import classify, detect_eventual_polynomial, detect_fib_like
-from patavoid.survey import (
-    enumerate_symmetry_classes,
-    polynomial_scan,
-    random_experiment,
-    wilf_survey,
-)
-from patavoid.templates import (
-    certify_avoidance,
-    generate_family,
-    parse_template,
-    three_segment_counts,
-)
+from patavoid.claims import run_claim
+from patavoid.counting import count_avoiders, count_avoiders_naive, count_avoiders_tree
+from patavoid.perms import all_perms, pattern_set
 
 WORKERS = min(2, os.cpu_count() or 1)
-
-CATALAN_12 = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
-
-TABLE1 = [
-    ("1234,1243,1342,4231", (1, 2, 6, 20, 64, 187, 492, 1170, 2543, 5116), 6),
-    ("1234,1243,1432,3412", (1, 2, 6, 20, 59, 148, 324, 638, 1157, 1966), 5),
-    ("1234,1243,2341,4231", (1, 2, 6, 20, 64, 184, 469, 1072, 2235, 4318), 6),
-    ("1234,1243,3241,3412", (1, 2, 6, 20, 58, 141, 297, 561, 975, 1588), 4),
-    ("1234,1324,2413,4231", (1, 2, 6, 20, 60, 159, 379, 827, 1675, 3184), 6),
-    ("1234,1342,1423,3421", (1, 2, 6, 20, 64, 182, 459, 1045, 2187, 4270), 7),
-]
 
 
 class _Line:
@@ -58,142 +33,53 @@ class _Line:
         return False
 
 
-@pytest.fixture(scope="module")
-def surveyed_records():
-    records = enumerate_symmetry_classes(4, 4)
-    clustering = wilf_survey(records, 10, workers=WORKERS)
-    return records, clustering
+def _claim(criterion, claim_id, time_bound=None):
+    """Run one registered claim; it must pass, within the bound if there is one."""
+    with _Line(criterion) as line:
+        start = time.monotonic()
+        result = run_claim(claim_id, workers=WORKERS, seed=42)
+        elapsed = time.monotonic() - start
+        passed = sum(text.startswith("ok") for text in result.lines)
+        line.detail = f"{passed}/{len(result.lines)} checks ok"
+        assert result.passed, "\n".join(result.lines)
+        if time_bound is not None:
+            assert elapsed < time_bound, (claim_id, elapsed)
 
 
 def test_criterion_01_catalan():
-    with _Line("criterion 1 (catalan)") as line:
-        start = time.monotonic()
-        got = count_avoiders([(1, 3, 2)], 12).counts
-        elapsed = time.monotonic() - start
-        assert got == CATALAN_12
-        assert elapsed < 10.0
-        line.detail = f"counts to n=12 match, {elapsed:.2f}s"
+    _claim("criterion 1 (catalan)", "catalan", 10.0)
 
 
 def test_criterion_02_table1():
-    with _Line("criterion 2 (table1)") as line:
-        start = time.monotonic()
-        degrees = []
-        for text, expected, degree in TABLE1:
-            sigma = parse_pattern_list(text)
-            got = count_avoiders(sigma, 10).counts[1:]
-            assert got == expected, (text, got)
-            fit = detect_eventual_polynomial(list(got), 7)
-            assert fit is not None and fit.degree == degree, (text, fit)
-            degrees.append(fit.degree)
-        elapsed = time.monotonic() - start
-        assert elapsed < 60.0
-        line.detail = f"six rows exact, degrees {degrees}"
+    _claim("criterion 2 (table1)", "table1", 60.0)
 
 
 def test_criterion_03_symmetry_classes():
-    with _Line("criterion 3 (1524 symmetry classes)") as line:
-        start = time.monotonic()
-        records = enumerate_symmetry_classes(4, 4)
-        total = sum(r.orbit_size for r in records)
-        elapsed = time.monotonic() - start
-        assert len(records) == 1524
-        assert total == 10626
-        assert elapsed < 30.0
-        line.detail = f"1524 classes, orbit sum 10626"
+    _claim("criterion 3 (1524 symmetry classes)", "sym1524", 30.0)
 
 
-def test_criterion_04_wilf_lower_bound(surveyed_records):
-    with _Line("criterion 4 (Wilf fingerprints)") as line:
-        records, clustering = surveyed_records
-        distinct = clustering.num_distinct
-        assert 1100 <= distinct <= 1524, distinct
-        if clustering.failed:
-            ok = [r for r in records if r.counts is not None]
-            reduced = len({tuple(r.counts[:9]) for r in ok})
-            assert reduced >= 1000, reduced
-            line.detail = f"{distinct} distinct at N=10 with {len(clustering.failed)} failures; N=9 fallback {reduced}"
-        else:
-            line.detail = f"{distinct} distinct fingerprints at N=10 (need >= 1100)"
+def test_criterion_04_wilf_lower_bound():
+    _claim("criterion 4 (Wilf fingerprints)", "wilf1100")
 
 
-def test_criterion_05_polynomial_scan(surveyed_records):
-    with _Line("criterion 5 (polynomial scan)") as line:
-        records, _ = surveyed_records
-        flagged = polynomial_scan(records, 10, 7)
-        total = len(flagged)
-        assert 50 <= total <= 75, total
-        by_class = dict(flagged)
-        for text, _counts, degree in TABLE1:
-            canon = canonicalize_set(parse_pattern_list(text))
-            assert by_class.get(canon) == degree, (text, by_class.get(canon))
-        line.detail = f"{total} classes flagged (published total: 60); all six table1 degrees exact"
+def test_criterion_05_polynomial_scan():
+    _claim("criterion 5 (polynomial scan)", "polyscan")
 
 
 def test_criterion_06_single_template_family():
-    with _Line("criterion 6 (single-template certificate)") as line:
-        start = time.monotonic()
-        template = parse_template("45312:10101")
-        sigma = pattern_set([(2, 1, 4, 3), (2, 4, 1, 3), (3, 1, 4, 2)])
-        cert = certify_avoidance([template], sigma)
-        assert cert.verified and cert.bound == 10
-        rec = three_segment_counts(9)
-        sizes = tuple(len(generate_family([template], n)) for n in range(10))
-        assert sizes == rec.counts, (sizes, rec.counts)
-        q = count_avoiders(sigma, 9).counts
-        assert all(rec.counts[n] <= q[n] for n in range(10))
-        elapsed = time.monotonic() - start
-        assert elapsed < 60.0
-        line.detail = "verified at bound 10; family sizes match the recurrence and bound the class"
+    _claim("criterion 6 (single-template certificate)", "prop4", 60.0)
 
 
 def test_criterion_07_template_pair_family():
-    with _Line("criterion 7 (two-template certificate)") as line:
-        start = time.monotonic()
-        templates = [parse_template("14253:10101"), parse_template("15243:10101")]
-        sigma = pattern_set([(2, 3, 4, 1), (2, 4, 1, 3), (2, 4, 3, 1), (3, 2, 4, 1)])
-        cert = certify_avoidance(templates, sigma)
-        assert cert.verified and cert.bound == 10
-        rec = three_segment_counts(9, variants=2)
-        sizes = tuple(len(generate_family(templates, n)) for n in range(10))
-        assert sizes == rec.counts, (sizes, rec.counts)
-        q = count_avoiders(sigma, 9).counts
-        assert all(rec.counts[n] <= q[n] for n in range(10))
-        elapsed = time.monotonic() - start
-        assert elapsed < 300.0
-        line.detail = f"verified at bound 10 in {elapsed:.0f}s; sizes match recurrence to n=9"
+    _claim("criterion 7 (two-template certificate)", "prop7", 300.0)
 
 
 def test_criterion_08_fib_like():
-    with _Line("criterion 8 (drift recurrence)") as line:
-        seq = [1, 2, 6, 12, 18, 26, 39, 60, 94, 149, 238, 382, 615]
-        fit = detect_fib_like(seq)
-        assert fit is not None
-        assert (fit.a, fit.b, fit.threshold) == (0, -5, 6), fit
-        assert classify(seq).verdict == "fib_like"
-        line.detail = "f(n) = f(n-1) + f(n-2) - 5 from n = 6"
+    _claim("criterion 8 (drift recurrence)", "fiblike")
 
 
 def test_criterion_09_random_experiment():
-    with _Line("criterion 9 (820-trial experiment)") as line:
-        start = time.monotonic()
-        result = random_experiment(12, 13, 820, seed=42, workers=WORKERS)
-        fracs = result.fractions
-        targets = {"zero": 0.233, "constant": 0.326, "degree_1": 0.315, "degree_2": 0.080}
-        for bucket, target in targets.items():
-            assert abs(fracs[bucket] - target) <= 0.05, (bucket, fracs[bucket], target)
-        nonpoly = fracs["non_polynomial"]
-        assert 0.01 <= nonpoly <= 0.08, nonpoly
-        count = result.bucket_counts["non_polynomial"]
-        share = result.fib_like_nonpoly / count
-        assert share >= 0.5, (result.fib_like_nonpoly, count)
-        elapsed = time.monotonic() - start
-        assert elapsed < 900.0
-        line.detail = (
-            f"zero {fracs['zero']:.1%} const {fracs['constant']:.1%} "
-            f"deg1 {fracs['degree_1']:.1%} deg2 {fracs['degree_2']:.1%} "
-            f"nonpoly {nonpoly:.1%}, fib-like {result.fib_like_nonpoly}/{count}"
-        )
+    _claim("criterion 9 (820-trial experiment)", "experiment820", 900.0)
 
 
 def test_criterion_10_oracle_equivalence():
@@ -208,7 +94,7 @@ def test_criterion_10_oracle_equivalence():
             )
             naive = count_avoiders_naive(sigma, 7).counts
             assert count_avoiders(sigma, 7).counts == naive, sigma
-            assert count_avoiders(sigma, 7, engine="tree").counts == naive, sigma
+            assert count_avoiders_tree(sigma, 7).counts == naive, sigma
             checked += 1
         line.detail = f"pruned (vector and tree) == naive on {checked} random pattern sets at N=7"
 

@@ -35,11 +35,6 @@ class TestCount:
         assert code == 0
         assert out.strip() == "1,1,2,5,14,42"
 
-    def test_tree_engine(self, capsys):
-        code, out, _ = run(capsys, "count", "--patterns", "132", "--max-n", "5", "--engine", "tree")
-        assert code == 0
-        assert out.strip() == "1,1,2,5,14,42"
-
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "count", "--patterns", "12", "--max-n", "3", "--enumerate")
         assert code == 0
@@ -201,6 +196,21 @@ class TestParsing:
     def test_bad_flag(self, capsys):
         code, _, err = run(capsys, "count", "--paterns", "132", "--max-n", "3")
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        ["survey", "--num-patterns", "2", "--pattern-length", "3", "--max-n", "6"],
+        ["experiment", "--num-patterns", "12", "--max-n", "8", "--trials", "5"],
+        ["reproduce", "fiblike"],
+    ])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, command):
+        out_path = tmp_path / "s.jsonl"
+        if command[0] == "survey":
+            command = command + ["--out", str(out_path)]
+        for workers in ("0", "-2", "two"):
+            code, out, err = run(capsys, *command, "--workers", workers)
+            assert code == 1 and out == ""
+            assert "--workers" in err and ">= 1" in err
+        assert not out_path.exists()
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("PATAVOID_NODE_BUDGET", "20")

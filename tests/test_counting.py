@@ -8,6 +8,7 @@ from patavoid.counting import (
     CountSequence,
     count_avoiders,
     count_avoiders_naive,
+    count_avoiders_tree,
     enumerate_avoiders,
     resolve_node_budget,
 )
@@ -56,18 +57,8 @@ class TestCountAvoiders:
     def test_engines_agree(self):
         for sigma in random_pattern_sets(11, 12):
             vec = count_avoiders(sigma, 6).counts
-            tree = count_avoiders(sigma, 6, engine="tree").counts
+            tree = count_avoiders_tree(sigma, 6).counts
             assert vec == tree, sigma
-
-    def test_debug_full_check_agrees(self):
-        for sigma in random_pattern_sets(12, 8):
-            fast = count_avoiders(sigma, 6, engine="tree").counts
-            slow = count_avoiders(sigma, 6, engine="tree", debug_full_check=True).counts
-            assert fast == slow, sigma
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            count_avoiders([(1, 2)], 3, engine="magic")
 
 
 class TestNaiveOracle:
@@ -87,7 +78,7 @@ class TestNaiveOracle:
         for sigma in random_pattern_sets(13, 10):
             naive = count_avoiders_naive(sigma, 5).counts
             assert count_avoiders(sigma, 5).counts == naive, sigma
-            assert count_avoiders(sigma, 5, engine="tree").counts == naive, sigma
+            assert count_avoiders_tree(sigma, 5).counts == naive, sigma
 
 
 class TestEnumerate:
@@ -101,10 +92,9 @@ class TestEnumerate:
     def test_only_decreasing(self):
         assert enumerate_avoiders([(1, 2)], 3) == {(3, 2, 1)}
 
-    @pytest.mark.parametrize("engine", ["vector", "tree"])
-    def test_size_matches_counts(self, engine):
+    def test_size_matches_counts(self):
         for sigma in random_pattern_sets(14, 6):
-            members = enumerate_avoiders(sigma, 5, engine=engine)
+            members = enumerate_avoiders(sigma, 5)
             assert len(members) == count_avoiders(sigma, 5).counts[5]
 
     def test_members_are_avoiders(self):
@@ -175,7 +165,7 @@ class TestCountSequence:
 class TestLargeAgreement:
     def test_engines_agree_through_chunked_levels(self):
         # levels past ~30k rows split into several numpy chunks; the tree
-        # engine must see identical counts through them
+        # oracle must see identical counts through them
         vec = count_avoiders([(1, 3, 2)], 11).counts
-        tree = count_avoiders([(1, 3, 2)], 11, engine="tree").counts
+        tree = count_avoiders_tree([(1, 3, 2)], 11).counts
         assert vec == tree == CATALAN[:12]

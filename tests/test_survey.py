@@ -11,6 +11,7 @@ from patavoid.survey import (
     SurveyRecord,
     bucket_of,
     enumerate_symmetry_classes,
+    fill_counts,
     polynomial_scan,
     random_experiment,
     read_survey,
@@ -70,6 +71,13 @@ class TestWilfSurvey:
         for fingerprint, group in clustering.clusters.items():
             for record in group:
                 assert tuple(record.counts[:7]) == fingerprint
+
+    def test_short_records_rejected(self, tmp_path):
+        # records counted to n=6 cannot carry fingerprints to horizon 8
+        path = str(tmp_path / "survey.jsonl")
+        run_survey_to_file(2, 3, 6, path)
+        with pytest.raises(ValueError, match="fewer than 8 counts"):
+            wilf_survey(read_survey(path), 8)
 
     def test_budget_failures_recorded_not_raised(self):
         records = enumerate_symmetry_classes(1, 3)
@@ -181,3 +189,48 @@ class TestPersistence:
         assert rows[0]["orbit"] == 2
         assert rows[0]["counts"][0] == 1
         assert "verdict" in rows[0]
+
+    def test_resume_after_torn_write_at_every_byte(self, tmp_path):
+        whole = tmp_path / "whole.jsonl"
+        run_survey_to_file(2, 3, 6, str(whole))
+        data = whole.read_bytes()
+        expected = [(r.patterns, r.counts) for r in read_survey(str(whole))]
+        cut = tmp_path / "cut.jsonl"
+        for offset in range(len(data) + 1):
+            cut.write_bytes(data[:offset])
+            complete = data[:offset].count(b"\n")
+            assert len(read_survey(str(cut))) == complete
+            records = run_survey_to_file(2, 3, 6, str(cut))
+            assert cut.read_bytes() == data, offset
+            assert [(r.patterns, r.counts) for r in records] == expected
+
+    def test_bad_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(2, 3, 6, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:20] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"{path}, line 3: "):
+            read_survey(str(path))
+        with pytest.raises(ValueError, match=f"{path}, line 3: "):
+            run_survey_to_file(2, 3, 6, str(path))
+
+    def test_resume_at_other_horizon_rejected(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(2, 3, 6, str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"{path}, line 1: .*n=6.*n=8"):
+            run_survey_to_file(2, 3, 8, str(path))
+        assert path.read_bytes() == before
+
+
+class TestWorkers:
+    def test_below_one_rejected_before_any_work(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        with pytest.raises(ValueError, match="workers"):
+            run_survey_to_file(2, 3, 6, str(path), workers=0)
+        assert not path.exists()
+        with pytest.raises(ValueError, match="workers"):
+            fill_counts(enumerate_symmetry_classes(1, 3), 6, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            random_experiment(12, 9, 5, seed=1, workers=-1)

@@ -9,7 +9,6 @@ from patavoid.templates import (
     certification_bound,
     certify_avoidance,
     generate_family,
-    generate_single,
     parse_template,
     parse_template_list,
     template,
@@ -116,25 +115,27 @@ class TestParsing:
 
 class TestGeneration:
     def test_base_cases(self):
-        assert generate_single(T_STACK, 0) == {()}
-        assert generate_single(T_STACK, 1) == {(1,)}
+        assert generate_family([T_STACK], 0) == {()}
+        assert generate_family([T_STACK], 1) == {(1,)}
 
     def test_stack_small(self):
-        assert generate_single(T_STACK, 2) == {(1, 2), (2, 1)}
-        assert generate_single(T_STACK, 3) == {
+        assert generate_family([T_STACK], 2) == {(1, 2), (2, 1)}
+        assert generate_family([T_STACK], 3) == {
             (1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)
         }
 
     def test_stack_family_is_132_avoidance(self):
         for n in range(9):
-            assert generate_single(T_STACK, n) == enumerate_avoiders([(1, 3, 2)], n)
+            assert generate_family([T_STACK], n) == enumerate_avoiders([(1, 3, 2)], n)
 
     def test_five_slot_at_two(self):
-        assert generate_single(T_FIVE, 2) == {(2, 1)}
+        assert generate_family([T_FIVE], 2) == {(2, 1)}
 
     def test_single_equals_singleton_family(self):
+        # a plain (order, slots) pair and a repeat name the same one-template family
+        spelled = [((4, 5, 3, 1, 2), "10101"), T_FIVE]
         for n in range(7):
-            assert generate_single(T_FIVE, n) == generate_family([T_FIVE], n)
+            assert generate_family(spelled, n) == generate_family([T_FIVE], n)
 
     def test_members_are_valid_perms(self):
         for n in range(8):
@@ -162,7 +163,7 @@ class TestRecurrences:
     def test_single_matches_generation(self):
         rec = three_segment_counts(9)
         for n in range(10):
-            assert len(generate_single(T_FIVE, n)) == rec.counts[n]
+            assert len(generate_family([T_FIVE], n)) == rec.counts[n]
 
     def test_double_matches_generation(self):
         rec = three_segment_counts(9, variants=2)
