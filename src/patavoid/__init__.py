@@ -6,7 +6,8 @@ and tuples of them (pattern sets). The package covers:
 
 - containment/avoidance tests and the eight matrix symmetries (perms);
 - exact avoider counting and enumeration via a pruned insertion tree grown
-  level by level in numpy, and brute-force and tree oracles (counting);
+  level by level in numpy, one tree shared by many pattern sets, and
+  brute-force and tree oracles (counting);
 - template-generated permutation families, their finite avoidance
   certificates, and the three-segment counting recurrences (templates);
 - classification of counting sequences: eventually zero, eventually
@@ -22,6 +23,7 @@ from .counting import (
     CountSequence,
     DEFAULT_NODE_BUDGET,
     count_avoiders,
+    count_avoiders_many,
     count_avoiders_naive,
     enumerate_avoiders,
 )
@@ -107,6 +109,7 @@ __all__ = [
     "compose_symmetries",
     "contains",
     "count_avoiders",
+    "count_avoiders_many",
     "count_avoiders_naive",
     "detect_eventual_polynomial",
     "detect_fib_like",

@@ -76,16 +76,16 @@ def check_sym1524(workers: int = 1, seed: int = 42) -> ClaimResult:
 
 
 @lru_cache(maxsize=1)
-def _survey_4x4(workers: int) -> tuple:
+def _survey_4x4() -> tuple:
     """The 1524 classes counted to N=10, counted once per process for wilf1100 and polyscan."""
     records = enumerate_symmetry_classes(4, 4)
-    fill_counts(records, 10, workers=workers)
+    fill_counts(records, 10)
     return tuple(records)
 
 
 def check_wilf1100(workers: int = 1, seed: int = 42) -> ClaimResult:
     res = _result("wilf1100")
-    records = _survey_4x4(workers)
+    records = _survey_4x4()
     clustering = cluster_fingerprints(records, 10)
     distinct = clustering.num_distinct
     res.add(
@@ -105,7 +105,7 @@ def check_wilf1100(workers: int = 1, seed: int = 42) -> ClaimResult:
 
 def check_polyscan(workers: int = 1, seed: int = 42) -> ClaimResult:
     res = _result("polyscan")
-    flagged = polynomial_scan(_survey_4x4(workers), 10, 7)
+    flagged = polynomial_scan(_survey_4x4(), 10, 7)
     total = len(flagged)
     res.add(50 <= total <= 75, f"polynomial classes at horizon 10: expected in [50, 75], got {total}")
     by_class = dict(flagged)

@@ -23,7 +23,7 @@ from .counting import (
     count_avoiders_naive,
     enumerate_avoiders,
 )
-from .perms import format_perm, parse_pattern_list
+from .perms import format_pattern_set, format_perm, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
 from .templates import certify_avoidance, generate_family, parse_template_list
@@ -100,7 +100,10 @@ def build_parser() -> Parser:
     p_survey.add_argument("--pattern-length", type=int, default=4)
     p_survey.add_argument("--max-n", type=int, default=10)
     p_survey.add_argument("--out", default=None, help="JSONL output (resumable)")
-    p_survey.add_argument("--workers", type=_worker_count, default=1)
+    p_survey.add_argument(
+        "--workers", type=_worker_count, default=1,
+        help="deprecated and ignored (must be >= 1): a survey counts all classes in shared trees",
+    )
     p_survey.add_argument("--node-budget", type=int, default=None)
     ssub = p_survey.add_subparsers(dest="survey_cmd", metavar="SUBCOMMAND")
     p_wilf = ssub.add_parser("wilf", help="fingerprint clustering of a finished survey")
@@ -144,7 +147,7 @@ def _cmd_count(args) -> int:
     counts = list(seq.counts[1:] if args.from_one else seq.counts)
     if args.emit == "json":
         _emit_json({
-            "patterns": [format_perm(p) for p in seq.patterns],
+            "patterns": format_pattern_set(seq.patterns),
             "counts": counts,
             "max_n": args.max_n,
         })
@@ -170,7 +173,7 @@ def _cmd_template(args) -> int:
                 "templates": [str(t) for t in templates],
                 "n": args.n,
                 "size": len(members),
-                "members": [format_perm(p) for p in members],
+                "members": format_pattern_set(members),
             })
         else:
             for pi in members:
@@ -183,7 +186,7 @@ def _cmd_template(args) -> int:
         if args.emit == "json":
             _emit_json({
                 "templates": [str(t) for t in cert.templates],
-                "patterns": [format_perm(p) for p in cert.patterns],
+                "patterns": format_pattern_set(cert.patterns),
                 "bound": cert.bound,
                 "verified": cert.verified,
                 "witness": None if cert.witness is None else format_perm(cert.witness),
@@ -245,7 +248,7 @@ def _cmd_survey(args) -> int:
             "clusters": [
                 {
                     "counts": list(fp),
-                    "classes": [[format_perm(p) for p in r.patterns] for r in group],
+                    "classes": [format_pattern_set(r.patterns) for r in group],
                 }
                 for fp, group in sorted(clustering.clusters.items())
             ],
@@ -268,7 +271,7 @@ def _cmd_survey(args) -> int:
                 "max_degree": args.max_degree,
                 "total": len(flagged),
                 "classes": [
-                    {"class": [format_perm(p) for p in ps], "degree": d} for ps, d in flagged
+                    {"class": format_pattern_set(ps), "degree": d} for ps, d in flagged
                 ],
             })
         elif args.emit == "csv":

@@ -307,7 +307,8 @@ def parse_perm(text: str) -> Perm:
     return tuple(values)
 
 
-def format_pattern_set(patterns: PatternSet) -> list[str]:
+def format_pattern_set(patterns: Iterable[Sequence[int]]) -> list[str]:
+    """The text forms of the patterns (or permutations), in order."""
     return [format_perm(p) for p in patterns]
 
 

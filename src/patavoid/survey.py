@@ -12,11 +12,14 @@ fingerprints are necessary but not sufficient for Wilf equivalence, so the
 number of distinct fingerprints is a lower bound on the number of Wilf
 classes, and is always reported together with its horizon.
 
-Long surveys stream results to a JSON Lines file as they complete, one
-record per line, so an interrupted survey resumes by skipping the classes
-already on disk. Readers skip a final line torn by an interrupted write,
-and a resumed survey cuts it off; a line that does not parse, or a stored
-record counted to another horizon, is an error naming the file and line.
+All the records of a survey are counted together, in insertion trees
+shared between classes (``counting.count_avoiders_many``), then classified
+and written to a JSON Lines file, one record per line in record order, so a
+rerun resumes by skipping the classes already on disk. Readers skip a final
+line torn by an interrupted write, and a resumed survey cuts it off. A line
+that does not parse, a stored record counted to another horizon, a stored
+budget failure under another node budget, and a stored class that is not
+one of the survey's are errors naming the file and line.
 """
 from __future__ import annotations
 
@@ -28,13 +31,13 @@ from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import IO, Callable, Iterable, Iterator
 
-from .counting import BudgetExceededError, count_avoiders, resolve_node_budget
+from .counting import BudgetExceededError, count_avoiders, count_avoiders_many, resolve_node_budget
 from .perms import (
     SYMMETRIES,
     PatternSet,
     all_perms,
     apply_symmetry,
-    format_perm,
+    format_pattern_set,
     parse_perm,
     pattern_set,
     pattern_set_key,
@@ -53,10 +56,11 @@ class SurveyRecord:
     counts: tuple[int, ...] | None = None  # avoidance counts at lengths 1..N
     report: ClassificationReport | None = None
     error: str | None = None
+    node_budget: int | None = None  # the budget an error was recorded under
 
     def to_json_dict(self) -> dict:
         out: dict = {
-            "class": [format_perm(p) for p in self.patterns],
+            "class": format_pattern_set(self.patterns),
             "orbit": self.orbit_size,
         }
         if self.counts is not None:
@@ -65,6 +69,7 @@ class SurveyRecord:
             out["verdict"] = self.report.to_json_dict()
         if self.error is not None:
             out["error"] = self.error
+            out["node_budget"] = self.node_budget
         return out
 
 
@@ -106,7 +111,7 @@ def enumerate_symmetry_classes(
 
 
 # ---------------------------------------------------------------------------
-# Counting the records (parallelizable map)
+# Counting the records
 # ---------------------------------------------------------------------------
 
 def _check_workers(workers: int) -> None:
@@ -127,15 +132,6 @@ def _pool_map(fn: Callable, tasks: list, workers: int, chunksize: int) -> Iterat
         yield from pool.imap(fn, tasks, chunksize=chunksize)
 
 
-def _count_one(args: tuple[PatternSet, int, int]) -> tuple[tuple[int, ...] | None, str | None]:
-    patterns, max_n, budget = args
-    try:
-        seq = count_avoiders(patterns, max_n, node_budget=budget)
-        return tuple(seq.counts[1:]), None
-    except BudgetExceededError as e:
-        return None, str(e)
-
-
 def fill_counts(
     records: list[SurveyRecord],
     max_n: int,
@@ -148,16 +144,26 @@ def fill_counts(
     """
     Compute avoidance counts (lengths 1..max_n) for every record in place,
     classify them, and optionally append each finished record to a JSONL
-    stream. Budget failures are recorded on the record, not raised.
+    stream. Budget failures are recorded on the record, with the budget,
+    not raised. All records are counted in one ``count_avoiders_many``
+    call; they are classified and written, in record order, once it is
+    done.
+
+    ``workers`` is deprecated: it must be at least 1 and is otherwise
+    ignored, since the shared trees beat a pool of separate trees.
     """
+    _check_workers(workers)
     budget = resolve_node_budget(node_budget)
     todo = [r for r in records if r.counts is None and r.error is None]
-    tasks = [(r.patterns, max_n, budget) for r in todo]
-    for record, (counts, error) in zip(todo, _pool_map(_count_one, tasks, workers, chunksize=8)):
-        record.counts = counts
-        record.error = error
-        if counts is not None and classify_records:
-            record.report = classify(list(counts))
+    results = count_avoiders_many([r.patterns for r in todo], max_n, node_budget=budget)
+    for record, result in zip(todo, results):
+        if isinstance(result, BudgetExceededError):
+            record.error = str(result)
+            record.node_budget = budget
+        else:
+            record.counts = tuple(result.counts[1:])
+            if classify_records:
+                record.report = classify(list(record.counts))
         if stream is not None:
             stream.write(json.dumps(record.to_json_dict()) + "\n")
             stream.flush()
@@ -191,7 +197,8 @@ def wilf_survey(
     """
     Count every record up to max_n and cluster them at horizon max_n.
     Records that blow the node budget are collected under ``failed``
-    instead of aborting the survey.
+    instead of aborting the survey. ``workers`` is deprecated, as in
+    ``fill_counts``.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -395,6 +402,7 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
         record.report = classify(list(record.counts)) if len(record.counts) >= 4 else None
     if "error" in data:
         record.error = data["error"]
+        record.node_budget = data.get("node_budget")
     return record
 
 
@@ -436,24 +444,36 @@ def run_survey_to_file(
 ) -> list[SurveyRecord]:
     """
     Enumerate symmetry classes, count each representative to max_n, and
-    stream finished records to out_path as JSON Lines. Classes already in
-    the file are skipped and their records merged into the result (resume,
+    write the records to out_path as JSON Lines. Classes already in the
+    file are skipped and their records merged into the result (resume,
     under the rules of the module docstring). Errors, including a worker
-    count below 1, are raised before the file is changed.
+    count below 1, are raised before the file is changed. ``workers`` is
+    deprecated, as in ``fill_counts``.
     """
     _check_workers(workers)
+    budget = resolve_node_budget(node_budget)
     classes = enumerate_symmetry_classes(num_patterns, pattern_length, subset_budget=subset_budget)
     try:
         stored, complete = _load_survey(out_path)
     except FileNotFoundError:
         stored, complete = [], 0
+    wanted = {record.patterns for record in classes}
     done: dict[PatternSet, SurveyRecord] = {}
     for lineno, prior in stored:
+        where = f"{out_path}, line {lineno}"
+        if prior.patterns not in wanted:
+            raise ValueError(
+                f"{where}: class {{{','.join(format_pattern_set(prior.patterns))}}} is not one of the "
+                f"{len(classes)} classes of {num_patterns} patterns of length {pattern_length}"
+            )
         if prior.counts is not None and len(prior.counts) != max_n:
-            raise ValueError(f"{out_path}, line {lineno}: counted to n={len(prior.counts)}, this survey to n={max_n}")
+            raise ValueError(f"{where}: counted to n={len(prior.counts)}, this survey to n={max_n}")
+        if prior.error is not None and prior.node_budget != budget:
+            stored_budget = "no node budget" if prior.node_budget is None else f"node budget {prior.node_budget}"
+            raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {budget}")
         done[prior.patterns] = prior
     records = [done.get(record.patterns, record) for record in classes]
     with open(out_path, "a", encoding="utf-8") as fh:
         fh.truncate(complete)
-        fill_counts(records, max_n, workers=workers, node_budget=node_budget, stream=fh)
+        fill_counts(records, max_n, node_budget=budget, stream=fh)
     return records

@@ -149,6 +149,27 @@ class TestSurveyCommands:
         code, _, err = run(capsys, "survey", "--num-patterns", "2", "--pattern-length", "3")
         assert code == 1 and "--out" in err
 
+    def test_resume_rejects_failures_under_another_budget(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "9", "--out", str(path)]
+        code, out, _ = run(capsys, *survey, "--node-budget", "30")
+        assert code == 0 and "(2 budget failures)" in out
+        before = path.read_bytes()
+        code, out, err = run(capsys, *survey)
+        assert code == 1 and out == ""
+        assert f"{path}, line 1: " in err and "node budget 30" in err and "node budget 100000000" in err
+        assert path.read_bytes() == before
+
+    def test_resume_rejects_another_surveys_classes(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        survey = ["survey", "--pattern-length", "3", "--max-n", "6", "--out", str(path)]
+        assert run(capsys, *survey, "--num-patterns", "1")[0] == 0
+        before = path.read_bytes()
+        code, out, err = run(capsys, *survey, "--num-patterns", "2")
+        assert code == 1 and out == ""
+        assert f"{path}, line 1: class {{123}}" in err
+        assert path.read_bytes() == before
+
 
 class TestExperiment:
     def test_json_output(self, capsys):

@@ -1,18 +1,24 @@
 import math
 import random
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from patavoid import counting
 from patavoid.counting import (
     BudgetExceededError,
     CountSequence,
     count_avoiders,
+    count_avoiders_many,
     count_avoiders_naive,
     count_avoiders_tree,
     enumerate_avoiders,
     resolve_node_budget,
 )
-from patavoid.perms import all_perms, apply_symmetry_to_set, flatten, pattern_set
+from patavoid.perms import all_perms, apply_symmetry_to_set, contains, flatten, pattern_set
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
@@ -169,3 +175,125 @@ class TestLargeAgreement:
         vec = count_avoiders([(1, 3, 2)], 11).counts
         tree = count_avoiders_tree([(1, 3, 2)], 11).counts
         assert vec == tree == CATALAN[:12]
+
+
+# ---------------------------------------------------------------------------
+# count_avoiders_many: many sets in shared trees
+# ---------------------------------------------------------------------------
+
+SHORT = [p for k in range(1, 5) for p in all_perms(k)]  # the 33 patterns of length 1..4
+LENGTH5 = list(all_perms(5))
+
+
+@lru_cache(maxsize=None)
+def _deletions(n):
+    """(n!, n) indices into all_perms(n - 1) of the one-point deletions of each of all_perms(n)."""
+    index = {p: i for i, p in enumerate(all_perms(n - 1))}
+    rows = [[index[flatten(pi[:i] + pi[i + 1:])] for i in range(n)] for pi in all_perms(n)]
+    return np.array(rows).reshape(-1, n)
+
+
+@lru_cache(maxsize=None)
+def _containing(pattern):
+    """
+    Per length n <= 8, which of all_perms(n) contain the pattern: those that
+    are the pattern, and those with a one-point deletion that contains it.
+    """
+    k = len(pattern)
+    out = [np.zeros(math.factorial(n), dtype=bool) for n in range(k)]
+    out.append(np.array([pi == pattern for pi in all_perms(k)]))
+    for n in range(k + 1, 9):
+        out.append(out[-1][_deletions(n)].any(axis=1))
+    return out
+
+
+def naive_counts(sigma):
+    """The avoiders of each length 0..8 among all n! permutations, as count_avoiders_naive(sigma, 8) counts them."""
+    counts = []
+    for n in range(9):
+        contained = np.zeros(math.factorial(n), dtype=bool)
+        for p in sigma:
+            contained |= _containing(p)[n]
+        counts.append(int((~contained).sum()))
+    return tuple(counts)
+
+
+def same_outcome(got, patterns, max_n, node_budget=None):
+    """``got`` is what count_avoiders(patterns, max_n) returns, or the error it raises."""
+    try:
+        want = count_avoiders(patterns, max_n, node_budget=node_budget)
+    except BudgetExceededError as e:
+        return isinstance(got, BudgetExceededError) and str(got) == str(e)
+    return isinstance(got, CountSequence) and got == want
+
+
+def with_duplicates(sets, picks):
+    return sets + [sets[i % len(sets)] for i in picks]
+
+
+short_sets = st.lists(st.sampled_from(SHORT), min_size=1, max_size=4)
+
+
+class TestCountAvoidersMany:
+    def test_naive_filter_helper(self):
+        for sigma in [(), ((1,),), ((2, 1), (1, 2, 3)), ((1, 3, 2), (1, 2, 3, 4))]:
+            assert naive_counts(sigma) == count_avoiders_naive(sigma, 8).counts
+
+    @settings(max_examples=30)
+    @given(st.lists(short_sets, min_size=1, max_size=5), st.lists(st.integers(0, 9), max_size=3))
+    @example([[(1, 3, 2)], [(1, 3, 2), (2, 1, 3, 4)], [(2, 1, 3, 4), (1,)]], [0, 2])
+    @example([[(1,)], [(1, 2), (2, 1)], [(1, 2), (3, 2, 1)]], [])
+    def test_matches_naive_to_8(self, sets, picks):
+        sets = with_duplicates(sets, picks)
+        got = count_avoiders_many(sets, 8)
+        assert len(got) == len(sets)
+        for patterns, seq in zip(sets, got):
+            assert seq.patterns == pattern_set(patterns)
+            assert seq.counts == naive_counts(pattern_set(patterns)), patterns
+
+    @settings(max_examples=30)
+    @given(
+        st.lists(short_sets, min_size=1, max_size=5),
+        st.lists(st.integers(0, 9), max_size=3),
+        st.lists(st.sampled_from(LENGTH5), max_size=80, unique=True),
+        st.integers(0, 3000),
+    )
+    @example([[(1, 3, 2)], [(1, 2), (2, 1)], [(1, 2, 3), (3, 2, 1)]], [0], [], 100)
+    @example([[(1, 2, 3)]], [], LENGTH5[:70], 3000)
+    def test_matches_count_avoiders_under_budget(self, sets, picks, wide, budget):
+        # the length-5 singletons give up to 80 groups of their own, so the
+        # sets spill into a second tree; most of them fail the budget
+        sets = with_duplicates(sets, picks) + [[p] for p in wide]
+        got = count_avoiders_many(sets, 10, node_budget=budget)
+        for patterns, outcome in zip(sets, got):
+            assert same_outcome(outcome, patterns, 10, node_budget=budget), (patterns, outcome)
+
+    def test_budget_failures_leave_other_sets_counting(self):
+        got = count_avoiders_many([[(1, 3, 2)], [(1, 2), (2, 1)], [(1, 2, 3), (3, 2, 1)]], 10, node_budget=100)
+        assert isinstance(got[0], BudgetExceededError)
+        assert str(got[0]) == "insertion tree exceeded node budget 100 at length 6"
+        assert got[1].counts == (1, 1) + (0,) * 9
+        assert got[2].counts == (1, 1, 2, 4, 4) + (0,) * 6
+
+    def test_more_than_64_groups_pack_into_trees(self):
+        sets = [pattern_set([(1, 2, 3), p]) for p in LENGTH5[:70]]
+        assert len(list(counting._pack_trees(sets, list(range(len(sets)))))) == 2
+        for patterns, seq in zip(sets, count_avoiders_many(sets, 10)):
+            assert seq == count_avoiders(patterns, 10), patterns
+
+    def test_empty_sets_and_the_empty_pattern(self):
+        sets = [[], [()], [(), (1, 2)], [(2, 1)]]
+        got = count_avoiders_many(sets, 6)
+        for patterns, seq in zip(sets, got):
+            assert seq == count_avoiders(patterns, 6), patterns
+
+    def test_no_sets_and_max_n_zero(self):
+        assert count_avoiders_many([], 5) == []
+        assert [s.counts for s in count_avoiders_many([[(1,)], [(1, 2)]], 0)] == [(1,), (1,)]
+        with pytest.raises(ValueError):
+            count_avoiders_many([[(1, 2)]], -1)
+
+    def test_env_budget(self, monkeypatch):
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "40")
+        (got,) = count_avoiders_many([[(1, 3, 2)]], 10)
+        assert str(got) == "insertion tree exceeded node budget 40 at length 5"

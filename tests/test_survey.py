@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -224,7 +225,57 @@ class TestPersistence:
         assert path.read_bytes() == before
 
 
+    def test_error_records_state_their_budget(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(1, 3, 9, str(path), node_budget=30)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [list(row) for row in rows] == [["class", "orbit", "error", "node_budget"]] * 2
+        assert [row["node_budget"] for row in rows] == [30, 30]
+        assert [r.node_budget for r in read_survey(str(path))] == [30, 30]
+        # the same budget reuses them
+        before = path.read_bytes()
+        records = run_survey_to_file(1, 3, 9, str(path), node_budget=30)
+        assert path.read_bytes() == before
+        assert all(r.error is not None for r in records)
+
+    def test_resume_rejects_failures_under_another_budget(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(1, 3, 9, str(path), node_budget=30)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"{path}, line 1: .*node budget 30.*node budget 1000"):
+            run_survey_to_file(1, 3, 9, str(path), node_budget=1000)
+        assert path.read_bytes() == before
+        # a failure stored without its budget cannot be reused either
+        path.write_text(before.decode().replace(', "node_budget": 30', ""))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"{path}, line 1: .*no node budget.*node budget 30"):
+            run_survey_to_file(1, 3, 9, str(path), node_budget=30)
+        assert path.read_bytes() == before
+
+    def test_resume_rejects_another_surveys_classes(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(1, 3, 6, str(path))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 1: class {{123}} is not one of the 5 classes")):
+            run_survey_to_file(2, 3, 6, str(path))
+        assert path.read_bytes() == before
+
+
 class TestWorkers:
+    def test_survey_workers_start_no_pool(self, monkeypatch):
+        import patavoid.survey as survey
+
+        def no_pool(*args):
+            raise AssertionError("a survey started a process pool")
+
+        monkeypatch.setattr(survey, "get_context", no_pool)
+        one = enumerate_symmetry_classes(2, 3)
+        two = enumerate_symmetry_classes(2, 3)
+        fill_counts(one, 7, workers=1)
+        fill_counts(two, 7, workers=2)
+        assert [r.counts for r in one] == [r.counts for r in two]
+        assert wilf_survey(two, 7, workers=3).num_distinct == wilf_survey(one, 7).num_distinct
+
     def test_below_one_rejected_before_any_work(self, tmp_path):
         path = tmp_path / "survey.jsonl"
         with pytest.raises(ValueError, match="workers"):
