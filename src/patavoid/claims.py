@@ -47,14 +47,14 @@ def _result(claim: str) -> ClaimResult:
     return ClaimResult(claim=claim, passed=True)
 
 
-def check_catalan(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_catalan() -> ClaimResult:
     res = _result("catalan")
     got = count_avoiders([parse_perm("132")], 12).counts
     res.add(got == CATALAN_12, f"132-avoider counts to n=12: expected {CATALAN_12}, got {got}")
     return res
 
 
-def check_table1(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_table1() -> ClaimResult:
     res = _result("table1")
     for text, expected, degree in TABLE1:
         patterns = parse_pattern_list(text)
@@ -66,7 +66,7 @@ def check_table1(workers: int = 1, seed: int = 42) -> ClaimResult:
     return res
 
 
-def check_sym1524(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_sym1524() -> ClaimResult:
     res = _result("sym1524")
     records = enumerate_symmetry_classes(4, 4)
     total = sum(r.orbit_size for r in records)
@@ -83,7 +83,7 @@ def _survey_4x4() -> tuple:
     return tuple(records)
 
 
-def check_wilf1100(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_wilf1100() -> ClaimResult:
     res = _result("wilf1100")
     records = _survey_4x4()
     clustering = cluster_fingerprints(records, 10)
@@ -103,7 +103,7 @@ def check_wilf1100(workers: int = 1, seed: int = 42) -> ClaimResult:
     return res
 
 
-def check_polyscan(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_polyscan() -> ClaimResult:
     res = _result("polyscan")
     flagged = polynomial_scan(_survey_4x4(), 10, 7)
     total = len(flagged)
@@ -132,15 +132,15 @@ def _check_family(claim: str, templates: str, patterns: str, variants: int) -> C
     return res
 
 
-def check_prop4(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_prop4() -> ClaimResult:
     return _check_family("prop4", "45312:10101", "2143,2413,3142", variants=1)
 
 
-def check_prop7(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_prop7() -> ClaimResult:
     return _check_family("prop7", "14253:10101,15243:10101", "2341,2413,2431,3241", variants=2)
 
 
-def check_fiblike(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_fiblike() -> ClaimResult:
     res = _result("fiblike")
     fit = detect_fib_like(list(FIB_EXAMPLE))
     got = None if fit is None else (fit.a, fit.b, fit.threshold)
@@ -172,7 +172,8 @@ def check_experiment820(workers: int = 1, seed: int = 42) -> ClaimResult:
     return res
 
 
-CLAIMS: dict[str, Callable[[int, int], ClaimResult]] = {
+# only check_experiment820 takes workers and seed: it alone runs a pool and draws random trials
+CLAIMS: dict[str, Callable[..., ClaimResult]] = {
     "catalan": check_catalan,
     "table1": check_table1,
     "sym1524": check_sym1524,
@@ -192,4 +193,6 @@ def run_claim(claim_id: str, *, workers: int = 1, seed: int = 42) -> ClaimResult
         raise ValueError(
             f"unknown claim {claim_id!r}; available: {', '.join(sorted(CLAIMS))}"
         ) from None
-    return fn(workers, seed)
+    if fn is check_experiment820:
+        return fn(workers, seed)
+    return fn()

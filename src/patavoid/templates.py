@@ -23,7 +23,10 @@ strings have at most k zeros and some member of the family contains a
 pattern of length l, then some member of length at most (l-1)(k+1)+1
 already does. Checking the finitely many lengths up to that bound therefore
 proves avoidance for every length at once; ``certify_avoidance`` does
-exactly that and returns the evidence.
+exactly that and returns the evidence. It checks each length as one array
+of members, one ``counting.rows_containing`` pass per pattern (the gather
+and order check the counting kernel uses), and confirms the member its
+answer ends on with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
 the process; the cache tolerates concurrent readers (worst case a value is
@@ -36,7 +39,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .counting import CountSequence
+import numpy as np
+
+from .counting import CountSequence, rows_containing
 from .perms import PatternSet, Perm, contains, format_perm, parse_perm, pattern_set, perm
 
 
@@ -230,7 +235,8 @@ def certify_avoidance(
     """
     Decide whether every member of the template family, of every length,
     avoids every pattern: generate members up to the certification bound
-    and test each against each pattern.
+    and test each length's members, as one array, against each pattern
+    with ``counting.rows_containing``.
 
     >>> certify_avoidance([((1, 2), "11")], [(1, 2)]).verified
     False
@@ -251,12 +257,24 @@ def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tup
     """
     The first member up to max_length (by length, then lexicographic) that
     contains a pattern of sigma, and that pattern; (None, None) if none does.
+    Each length goes through the containment kernel as one array; the
+    scalar ``contains`` confirms the member the answer ends on (the witness,
+    else the last member checked), a tripwire on the kernel.
     """
+    members: list[Perm] = []
     for m in range(max_length + 1):
-        for pi in sorted(_family_at(tset, m)):
-            for s in sigma:
-                if contains(pi, s):
-                    return pi, s
+        members = sorted(_family_at(tset, m))
+        rows = np.array(members, dtype=np.int16).reshape(len(members), m)
+        hits = np.array([rows_containing(rows, s) for s in sigma], dtype=bool)
+        hits = hits.reshape(len(sigma), len(members))  # (0, members) when sigma is empty
+        found = np.flatnonzero(hits.any(axis=0))
+        if found.size:
+            pi, s = members[found[0]], sigma[int(np.argmax(hits[:, found[0]]))]
+            if not contains(pi, s):
+                raise RuntimeError(f"containment kernel finds {s} in {pi}, perms.contains does not")
+            return pi, s
+    if members and any(contains(members[-1], s) for s in sigma):
+        raise RuntimeError(f"perms.contains finds a pattern of {sigma} in {members[-1]}, the kernel does not")
     return None, None
 
 

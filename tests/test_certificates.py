@@ -2,16 +2,19 @@
 Certification soundness probes past the theorem bound: generate the family
 for several lengths beyond the certified bound and confirm no member
 contains any of the patterns. The two-template family grows too fast for
-tuple-at-a-time checks at the larger lengths, so these tests bring their
-own vectorized containment checker and first validate it against the
-reference implementation.
+tuple-at-a-time checks at the larger lengths, so these tests use the
+package's vectorized containment kernel, ``counting.rows_containing`` (the
+one ``certify_avoidance`` runs on), after checking it against the reference
+``perms.contains``.
 """
 import itertools
 import random
 
 import numpy as np
-import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from patavoid.counting import rows_containing
 from patavoid.perms import all_perms, contains
 from patavoid.templates import generate_family, parse_template, verify_family_avoids
 
@@ -19,32 +22,9 @@ T_FIVE = parse_template("45312:10101")
 T_PAIR = (parse_template("14253:10101"), parse_template("15243:10101"))
 
 
-def rows_containing(rows: np.ndarray, sigma) -> np.ndarray:
-    """Boolean mask of rows (permutations) containing the pattern sigma."""
-    count, n = rows.shape
-    k = len(sigma)
-    if k == 0:
-        return np.ones(count, dtype=bool)
-    if k > n:
-        return np.zeros(count, dtype=bool)
-    combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
-    order = sorted(range(k), key=sigma.__getitem__)
-    out = np.zeros(count, dtype=bool)
-    chunk = max(1, 2_000_000 // (combos.shape[0] * k))
-    for start in range(0, count, chunk):
-        g = rows[start:start + chunk][:, combos]
-        match = np.ones(g.shape[:2], dtype=bool)
-        for a, b in zip(order, order[1:]):
-            match &= g[:, :, a] < g[:, :, b]
-        out[start:start + chunk] = match.any(axis=1)
-    return out
-
-
 def family_rows(templates, n: int) -> np.ndarray:
     members = sorted(generate_family(templates, n))
-    if not members:
-        return np.zeros((0, n), dtype=np.int16)
-    return np.array(members, dtype=np.int16)
+    return np.array(members, dtype=np.int16).reshape(len(members), n)
 
 
 def stream_family_rows(templates, n: int, chunk: int = 100_000):
@@ -86,8 +66,8 @@ def stream_family_rows(templates, n: int, chunk: int = 100_000):
 
 class TestBulkChecker:
     def test_matches_reference_containment(self):
-        rng = random.Random(99)
-        perms = [tuple(rng.sample(range(1, 9), 8)) for _ in range(300)]
+        rng = random.Random(99)  # 1200 rows: more than one chunk of the kernel at n=8
+        perms = [tuple(rng.sample(range(1, 9), 8)) for _ in range(1200)]
         rows = np.array(perms, dtype=np.int16)
         for sigma in [(1, 2), (2, 1, 3), (1, 4, 3, 2), (2, 4, 1, 3), (1, 2, 3, 4, 5)]:
             got = rows_containing(rows, sigma)
@@ -98,6 +78,31 @@ class TestBulkChecker:
         rows = np.array([[1, 2], [2, 1]], dtype=np.int16)
         assert not rows_containing(rows, (1, 2, 3)).any()
         assert rows_containing(rows, (1, 2)).tolist() == [True, False]
+
+    def test_edge_cases(self):
+        assert rows_containing(np.zeros((1, 0), dtype=np.int16), ()).tolist() == [True]
+        assert rows_containing(np.zeros((1, 0), dtype=np.int16), (1,)).tolist() == [False]
+        perms3 = list(all_perms(3))
+        rows = np.array(perms3, dtype=np.int16)
+        assert rows_containing(rows, ()).all()  # k=0
+        assert rows_containing(rows, (1,)).all()  # k=1
+        assert not rows_containing(rows, (1, 2, 3, 4)).any()  # k>n
+        assert rows_containing(rows, (2, 3, 1)).tolist() == [pi == (2, 3, 1) for pi in perms3]  # k=n
+        for sigma in [(), (1,), (1, 2), (1, 2, 3, 4)]:
+            got = rows_containing(np.zeros((0, 3), dtype=np.int16), sigma)
+            assert got.shape == (0,) and got.dtype == bool
+
+    @given(
+        st.integers(0, 9).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(1, n + 1)), max_size=12))
+        ),
+        st.integers(0, 5).flatmap(lambda k: st.permutations(range(1, k + 1))),
+    )
+    def test_matches_contains_property(self, sized, sigma):
+        n, perms = sized
+        rows = np.array(perms, dtype=np.int16).reshape(len(perms), n)
+        want = [contains(pi, sigma) for pi in perms]
+        assert rows_containing(rows, sigma).tolist() == want
 
 
 class TestSoundnessPastBound:

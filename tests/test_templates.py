@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from patavoid.counting import count_avoiders, enumerate_avoiders
-from patavoid.perms import all_perms, flatten, is_perm
+from patavoid.perms import all_perms, contains, flatten, is_perm, parse_pattern_list, pattern_set
 from patavoid.templates import (
     Template,
     certification_bound,
@@ -217,3 +217,38 @@ class TestCertification:
     def test_verify_finds_witness(self):
         ok, witness = verify_family_avoids([template((1, 2), "11")], [(1, 2)], 4)
         assert not ok and witness == (1, 2)
+
+
+def scalar_first_witness(templates, patterns, max_length):
+    """Reference scan, one tuple at a time: sorted members x sigma x perms.contains."""
+    tset, sigma = template_set(templates), pattern_set(patterns)
+    for m in range(max_length + 1):
+        for pi in sorted(generate_family(tset, m)):
+            for s in sigma:
+                if contains(pi, s):
+                    return False, pi, s
+    return True, None, None
+
+
+class TestWitnessOrder:
+    @pytest.mark.parametrize(
+        "templates, patterns, witness, witness_pattern",
+        [
+            # (3, 4, 2, 5, 1) contains both patterns; the first in sigma order is reported
+            ("45312:10101", "123,2314", (3, 4, 2, 5, 1), (1, 2, 3)),
+            ("45312:10101", "1324", (5, 2, 4, 3, 6, 1), (1, 3, 2, 4)),
+            ("12:11", "12", (1, 2), (1, 2)),
+            ("231:101", "132", None, None),
+        ],
+    )
+    def test_kernel_matches_scalar_scan(self, templates, patterns, witness, witness_pattern):
+        tset, sigma = parse_template_list(templates), parse_pattern_list(patterns)
+        cert = certify_avoidance(tset, sigma)
+        want = scalar_first_witness(tset, sigma, cert.bound)
+        assert want == (witness is None, witness, witness_pattern)
+        assert (cert.verified, cert.witness, cert.witness_pattern) == want
+        assert verify_family_avoids(tset, sigma, cert.bound) == want[:2]
+
+    def test_empty_pattern_witness_at_length_zero(self):
+        want = scalar_first_witness([T_STACK], [()], 5)
+        assert verify_family_avoids([T_STACK], [()], 5) == want[:2] == (False, ())
