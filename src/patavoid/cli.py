@@ -100,10 +100,6 @@ def build_parser() -> Parser:
     p_survey.add_argument("--pattern-length", type=int, default=4)
     p_survey.add_argument("--max-n", type=int, default=10)
     p_survey.add_argument("--out", default=None, help="JSONL output (resumable)")
-    p_survey.add_argument(
-        "--workers", type=_worker_count, default=1,
-        help="deprecated and ignored (must be >= 1): a survey counts all classes in shared trees",
-    )
     p_survey.add_argument("--node-budget", type=int, default=None)
     ssub = p_survey.add_subparsers(dest="survey_cmd", metavar="SUBCOMMAND")
     p_wilf = ssub.add_parser("wilf", help="fingerprint clustering of a finished survey")
@@ -300,7 +296,6 @@ def _cmd_survey(args) -> int:
         args.pattern_length,
         args.max_n,
         args.out,
-        workers=args.workers,
         node_budget=args.node_budget,
     )
     failed = sum(1 for r in records if r.error is not None)

@@ -205,8 +205,9 @@ def _grow_tree(
 # ---------------------------------------------------------------------------
 
 _DTYPE = np.int16
-_CHUNK_CELLS = 4_000_000  # cap on gather size (rows * combos * pattern length)
-_CONTAIN_CELLS = 250_000  # the same cap for rows_containing: faster than 4M there, and 7 MB less resident
+# cap on rows * combos * pattern length per _matches call: smaller caps slow
+# the fork-pool experiment, larger ones cost certificates time and memory
+_MATCH_CELLS = 1_000_000
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +265,7 @@ def _level_bad_gaps(level: np.ndarray, prepped: list[tuple[Perm, int, Perm]]) ->
         combos = _combo_index(n, k)
         gaps = _gap_matrix(n, k, m_idx)
         order = _value_order(reduced)
-        chunk = max(1, _CHUNK_CELLS // (combos.shape[0] * k))
+        chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
         for start in range(0, rows, chunk):
             match = _matches(level[start:start + chunk], combos, order)
             hits = match.astype(np.float32) @ gaps
@@ -287,10 +288,30 @@ def rows_containing(rows: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
     combos = _combo_index(n, k)
     order = _value_order(tuple(pattern))
     out = np.zeros(count, dtype=bool)
-    chunk = max(1, _CONTAIN_CELLS // (combos.shape[0] * k))
+    chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
     for start in range(0, count, chunk):
         out[start:start + chunk] = _matches(rows[start:start + chunk], combos, order).any(axis=1)
     return out
+
+
+def _insert_max(parents: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """
+    The children of (rows, n) ``parents``: n+1 inserted at every gap that
+    (rows, n+1) ``keep`` marks, gap by gap and, within a gap, in row order.
+    """
+    n = parents.shape[1]
+    children = np.empty((int(keep.sum()), n + 1), dtype=_DTYPE)
+    out = 0
+    for p in range(n + 1):
+        sel = keep[:, p]
+        m = int(sel.sum())
+        if m == 0:
+            continue
+        children[out:out + m, :p] = parents[sel, :p]
+        children[out:out + m, p] = n + 1
+        children[out:out + m, p + 1:] = parents[sel, p:]
+        out += m
+    return children
 
 
 def _grow_vector(
@@ -313,24 +334,12 @@ def _grow_vector(
             yield level
             continue
         keep = ~_level_bad_gaps(level, prepped)
-        total = int(keep.sum())
-        nodes += total
+        nodes += int(keep.sum())
         if nodes > budget:
             raise BudgetExceededError(
                 f"insertion tree exceeded node budget {budget} at length {n + 1}"
             )
-        children = np.empty((total, n + 1), dtype=_DTYPE)
-        out = 0
-        for p in range(n + 1):
-            sel = keep[:, p]
-            m = int(sel.sum())
-            if m == 0:
-                continue
-            children[out:out + m, :p] = level[sel, :p]
-            children[out:out + m, p] = n + 1
-            children[out:out + m, p + 1:] = level[sel, p:]
-            out += m
-        level = children
+        level = _insert_max(level, keep)
         yield level
 
 
@@ -436,24 +445,12 @@ def _grow_shared(
         failed_at[live[over]] = n + 1
         if last:
             break
-        kept = [keep[np.searchsorted(distinct, child)] for child in blocks]
-        total = sum(int(k.sum()) for k in kept)
-        children = np.empty((total, n + 1), dtype=_DTYPE)
-        child_masks = np.empty(total, dtype=np.uint64)
-        out = 0
-        for b, (child, k) in enumerate(zip(blocks, kept)):
-            parents = level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS]
-            for p in range(n + 1):
-                sel = k[:, p]
-                m = int(sel.sum())
-                if m == 0:
-                    continue
-                children[out:out + m, :p] = parents[sel, :p]
-                children[out:out + m, p] = n + 1
-                children[out:out + m, p + 1:] = parents[sel, p:]
-                child_masks[out:out + m] = child[sel, p]
-                out += m
-        level, masks = children, child_masks
+        children, child_masks = [], []
+        for b, child in enumerate(blocks):
+            k = keep[np.searchsorted(distinct, child)]
+            children.append(_insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k))
+            child_masks.append(child.T[k.T])  # gap-major, as _insert_max orders the rows
+        level, masks = np.concatenate(children), np.concatenate(child_masks)
     return counts, failed_at
 
 

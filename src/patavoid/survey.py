@@ -136,7 +136,6 @@ def fill_counts(
     records: list[SurveyRecord],
     max_n: int,
     *,
-    workers: int = 1,
     node_budget: int | None = None,
     classify_records: bool = True,
     stream: IO[str] | None = None,
@@ -148,11 +147,7 @@ def fill_counts(
     not raised. All records are counted in one ``count_avoiders_many``
     call; they are classified and written, in record order, once it is
     done.
-
-    ``workers`` is deprecated: it must be at least 1 and is otherwise
-    ignored, since the shared trees beat a pool of separate trees.
     """
-    _check_workers(workers)
     budget = resolve_node_budget(node_budget)
     todo = [r for r in records if r.counts is None and r.error is None]
     results = count_avoiders_many([r.patterns for r in todo], max_n, node_budget=budget)
@@ -190,19 +185,17 @@ def wilf_survey(
     records: list[SurveyRecord],
     max_n: int,
     *,
-    workers: int = 1,
     node_budget: int | None = None,
     stream: IO[str] | None = None,
 ) -> WilfClustering:
     """
     Count every record up to max_n and cluster them at horizon max_n.
     Records that blow the node budget are collected under ``failed``
-    instead of aborting the survey. ``workers`` is deprecated, as in
-    ``fill_counts``.
+    instead of aborting the survey.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    fill_counts(records, max_n, workers=workers, node_budget=node_budget, stream=stream)
+    fill_counts(records, max_n, node_budget=node_budget, stream=stream)
     return cluster_fingerprints(records, max_n)
 
 
@@ -448,7 +441,7 @@ def run_survey_to_file(
     file are skipped and their records merged into the result (resume,
     under the rules of the module docstring). Errors, including a worker
     count below 1, are raised before the file is changed. ``workers`` is
-    deprecated, as in ``fill_counts``.
+    ignored, and kept only for callers that pass it (``bench/workload.py``).
     """
     _check_workers(workers)
     budget = resolve_node_budget(node_budget)

@@ -16,7 +16,9 @@ strictly shorter than the whole, and each nonempty subword, renumbered to
 Because the value ranges stack totally, each subword occupies a consecutive
 block of values, so generation is mechanical: choose a template, choose the
 subword sizes, pick each subword's content from the (memoized) smaller
-family, and shift each block into place.
+family, and shift each block into place. Each length is one array: a product
+of the shorter lengths' arrays per template and split, sorted, with repeats
+(members that fit several splits) dropped.
 
 The point of such families is the certification theorem: if the slot
 strings have at most k zeros and some member of the family contains a
@@ -29,12 +31,13 @@ and order check the counting kernel uses), and confirms the member its
 answer ends on with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
-the process; the cache tolerates concurrent readers (worst case a value is
+the process as read-only (members, n) int16 arrays, rows sorted and
+distinct; the cache tolerates concurrent readers (worst case a value is
 computed twice). ``clear_family_cache`` drops it.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -156,22 +159,31 @@ def _block_offsets(order: Perm, sizes: Sequence[int]) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _family(templates: TemplateSet, n: int) -> frozenset[Perm]:
-    if n == 0:
-        return frozenset({()})
-    if n == 1:
-        return frozenset({(1,)})
-    members: set[Perm] = set()
-    for t in templates:
-        for sizes in _subword_sizes(n, t.slots):
-            offsets = _block_offsets(t.order, sizes)
-            choices = [_family(templates, s) for s in sizes]
-            for combo in itertools.product(*choices):
-                word: list[int] = []
-                for sub, off in zip(combo, offsets):
-                    word.extend(v + off for v in sub)
-                members.add(tuple(word))
-    return frozenset(members)
+def _family(templates: TemplateSet, n: int) -> np.ndarray:
+    """The length-n members as a read-only (members, n) int16 array, rows sorted and distinct."""
+    if n < 2:
+        rows = np.ones((1, n), dtype=np.int16)  # () and (1,)
+    else:
+        parts = [np.zeros((0, n), dtype=np.int16)]
+        for t in templates:
+            for sizes in _subword_sizes(n, t.slots):
+                subs = [_family(templates, s) for s in sizes]
+                counts = [len(sub) for sub in subs]
+                product = np.empty((math.prod(counts), n), dtype=np.int16)
+                start = 0
+                for i, (sub, off) in enumerate(zip(subs, _block_offsets(t.order, sizes))):
+                    # every combination once: repeat over the later slots' choices, tile over the earlier ones'
+                    block = np.repeat(sub + off, math.prod(counts[i + 1:]), axis=0)
+                    product[:, start:start + sizes[i]] = np.tile(block, (math.prod(counts[:i]), 1))
+                    start += sizes[i]
+                parts.append(product)
+        rows = np.concatenate(parts)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)  # splits may overlap
+        rows = rows[fresh]
+    rows.flags.writeable = False
+    return rows
 
 
 def generate_family(templates: Iterable[Template | tuple], n: int) -> frozenset[Perm]:
@@ -183,10 +195,10 @@ def generate_family(templates: Iterable[Template | tuple], n: int) -> frozenset[
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _family_at(template_set(templates), n)
+    return frozenset(map(tuple, _family_at(template_set(templates), n).tolist()))
 
 
-def _family_at(tset: TemplateSet, n: int) -> frozenset[Perm]:
+def _family_at(tset: TemplateSet, n: int) -> np.ndarray:
     for m in range(2, n):  # warm the cache iteratively; keeps recursion shallow
         _family(tset, m)
     return _family(tset, n)
@@ -261,20 +273,20 @@ def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tup
     scalar ``contains`` confirms the member the answer ends on (the witness,
     else the last member checked), a tripwire on the kernel.
     """
-    members: list[Perm] = []
+    rows = np.zeros((0, 0), dtype=np.int16)
     for m in range(max_length + 1):
-        members = sorted(_family_at(tset, m))
-        rows = np.array(members, dtype=np.int16).reshape(len(members), m)
+        rows = _family_at(tset, m)
         hits = np.array([rows_containing(rows, s) for s in sigma], dtype=bool)
-        hits = hits.reshape(len(sigma), len(members))  # (0, members) when sigma is empty
+        hits = hits.reshape(len(sigma), len(rows))  # (0, members) when sigma is empty
         found = np.flatnonzero(hits.any(axis=0))
         if found.size:
-            pi, s = members[found[0]], sigma[int(np.argmax(hits[:, found[0]]))]
+            pi, s = tuple(rows[found[0]].tolist()), sigma[int(np.argmax(hits[:, found[0]]))]
             if not contains(pi, s):
                 raise RuntimeError(f"containment kernel finds {s} in {pi}, perms.contains does not")
             return pi, s
-    if members and any(contains(members[-1], s) for s in sigma):
-        raise RuntimeError(f"perms.contains finds a pattern of {sigma} in {members[-1]}, the kernel does not")
+    last = tuple(rows[-1].tolist()) if len(rows) else None
+    if last is not None and any(contains(last, s) for s in sigma):
+        raise RuntimeError(f"perms.contains finds a pattern of {sigma} in {last}, the kernel does not")
     return None, None
 
 

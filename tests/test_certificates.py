@@ -7,7 +7,6 @@ package's vectorized containment kernel, ``counting.rows_containing`` (the
 one ``certify_avoidance`` runs on), after checking it against the reference
 ``perms.contains``.
 """
-import itertools
 import random
 
 import numpy as np
@@ -16,7 +15,14 @@ from hypothesis import strategies as st
 
 from patavoid.counting import rows_containing
 from patavoid.perms import all_perms, contains
-from patavoid.templates import generate_family, parse_template, verify_family_avoids
+from patavoid.templates import (
+    _family_at,
+    generate_family,
+    parse_template,
+    template_set,
+    three_segment_counts,
+    verify_family_avoids,
+)
 
 T_FIVE = parse_template("45312:10101")
 T_PAIR = (parse_template("14253:10101"), parse_template("15243:10101"))
@@ -25,43 +31,6 @@ T_PAIR = (parse_template("14253:10101"), parse_template("15243:10101"))
 def family_rows(templates, n: int) -> np.ndarray:
     members = sorted(generate_family(templates, n))
     return np.array(members, dtype=np.int16).reshape(len(members), n)
-
-
-def stream_family_rows(templates, n: int, chunk: int = 100_000):
-    """
-    Yield the length-n family members as arrays without materializing the
-    set: enumerate template/subword-size splits and walk the product of the
-    (much smaller) memoized families directly. Members may repeat if a
-    permutation fits several splits; harmless for an avoidance probe.
-    """
-    buffer = []
-    for t in templates:
-        free = [i for i, b in enumerate(t.slots) if b == "1"]
-        spare = n - (len(t.slots) - len(free))
-        for combo in itertools.product(range(n), repeat=len(free)):
-            if sum(combo) != spare:
-                continue
-            sizes = [1] * len(t.slots)
-            for i, take in zip(free, combo):
-                sizes[i] = take
-            if any(s >= n for s in sizes):
-                continue
-            offsets = [0] * len(t.order)
-            total = 0
-            for slot in sorted(range(len(t.order)), key=t.order.__getitem__):
-                offsets[slot] = total
-                total += sizes[slot]
-            choices = [sorted(generate_family(templates, s)) for s in sizes]
-            for parts in itertools.product(*choices):
-                word = []
-                for sub, off in zip(parts, offsets):
-                    word.extend(v + off for v in sub)
-                buffer.append(word)
-                if len(buffer) >= chunk:
-                    yield np.array(buffer, dtype=np.int16)
-                    buffer = []
-    if buffer:
-        yield np.array(buffer, dtype=np.int16)
 
 
 class TestBulkChecker:
@@ -121,28 +90,17 @@ class TestSoundnessPastBound:
 
     def test_pair_template_three_past_bound(self):
         # certified bound is 10; probe to 13. Lengths 12-13 hold ~683k/2.7M
-        # members, so they are streamed through the checker instead of
-        # materialized (a length-13 split never needs subwords longer
-        # than 11, so the memoized families stay small)
-        from patavoid.templates import three_segment_counts
-
+        # members, read as the memoized arrays certify_avoidance itself checks
         patterns = [(2, 3, 4, 1), (2, 4, 1, 3), (2, 4, 3, 1), (3, 2, 4, 1)]
-        for n in range(12):
-            rows = family_rows(T_PAIR, n)
+        expected = three_segment_counts(13, variants=2)
+        for n in range(14):
+            rows = _family_at(template_set(T_PAIR), n)
+            # every member comes from exactly one split, so the distinct
+            # members must number what the counting recurrence says
+            assert len(rows) == expected.counts[n], (n, len(rows), expected.counts[n])
             for sigma in patterns:
                 hits = rows_containing(rows, sigma)
                 assert not hits.any(), (n, sigma, rows[hits][:1])
-        expected = three_segment_counts(13, variants=2)
-        for n in (12, 13):
-            streamed = 0
-            for rows in stream_family_rows(T_PAIR, n):
-                streamed += len(rows)
-                for sigma in patterns:
-                    hits = rows_containing(rows, sigma)
-                    assert not hits.any(), (n, sigma, rows[hits][:1])
-            # every member comes from exactly one split, so the streamed
-            # count (with multiplicity) must equal the counting recurrence
-            assert streamed == expected.counts[n], (n, streamed, expected.counts[n])
 
     def test_checker_can_find_witnesses(self):
         # sanity: the probe is not vacuous; a family built on the identity

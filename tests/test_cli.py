@@ -219,18 +219,22 @@ class TestParsing:
         assert code == 1
 
     @pytest.mark.parametrize("command", [
-        ["survey", "--num-patterns", "2", "--pattern-length", "3", "--max-n", "6"],
         ["experiment", "--num-patterns", "12", "--max-n", "8", "--trials", "5"],
         ["reproduce", "fiblike"],
     ])
-    def test_workers_below_one_rejected(self, capsys, tmp_path, command):
-        out_path = tmp_path / "s.jsonl"
-        if command[0] == "survey":
-            command = command + ["--out", str(out_path)]
+    def test_workers_below_one_rejected(self, capsys, command):
         for workers in ("0", "-2", "two"):
             code, out, err = run(capsys, *command, "--workers", workers)
             assert code == 1 and out == ""
             assert "--workers" in err and ">= 1" in err
+
+    def test_survey_has_no_workers_flag(self, capsys, tmp_path):
+        out_path = tmp_path / "s.jsonl"
+        survey = ["survey", "--num-patterns", "2", "--pattern-length", "3", "--max-n", "6", "--out", str(out_path)]
+        code, out, err = run(capsys, *survey, "--workers", "2")
+        assert code == 1 and out == "" and "invalid choice: '2'" in err  # 2 is read as a subcommand
+        code, out, err = run(capsys, *survey, "--workers=2")
+        assert code == 1 and out == "" and "unrecognized arguments: --workers=2" in err
         assert not out_path.exists()
 
     def test_env_budget(self, capsys, monkeypatch):

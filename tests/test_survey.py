@@ -12,7 +12,6 @@ from patavoid.survey import (
     SurveyRecord,
     bucket_of,
     enumerate_symmetry_classes,
-    fill_counts,
     polynomial_scan,
     random_experiment,
     read_survey,
@@ -262,26 +261,23 @@ class TestPersistence:
 
 
 class TestWorkers:
-    def test_survey_workers_start_no_pool(self, monkeypatch):
+    def test_survey_workers_start_no_pool(self, monkeypatch, tmp_path):
+        # run_survey_to_file still takes a worker count, and ignores it
         import patavoid.survey as survey
 
         def no_pool(*args):
             raise AssertionError("a survey started a process pool")
 
         monkeypatch.setattr(survey, "get_context", no_pool)
-        one = enumerate_symmetry_classes(2, 3)
-        two = enumerate_symmetry_classes(2, 3)
-        fill_counts(one, 7, workers=1)
-        fill_counts(two, 7, workers=2)
-        assert [r.counts for r in one] == [r.counts for r in two]
-        assert wilf_survey(two, 7, workers=3).num_distinct == wilf_survey(one, 7).num_distinct
+        one, two = tmp_path / "one.jsonl", tmp_path / "two.jsonl"
+        run_survey_to_file(2, 3, 7, str(one), workers=1)
+        run_survey_to_file(2, 3, 7, str(two), workers=2)
+        assert one.read_bytes() == two.read_bytes()
 
     def test_below_one_rejected_before_any_work(self, tmp_path):
         path = tmp_path / "survey.jsonl"
         with pytest.raises(ValueError, match="workers"):
             run_survey_to_file(2, 3, 6, str(path), workers=0)
         assert not path.exists()
-        with pytest.raises(ValueError, match="workers"):
-            fill_counts(enumerate_symmetry_classes(1, 3), 6, workers=0)
         with pytest.raises(ValueError, match="workers"):
             random_experiment(12, 9, 5, seed=1, workers=-1)

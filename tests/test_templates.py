@@ -1,11 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from patavoid.counting import count_avoiders, enumerate_avoiders
 from patavoid.perms import all_perms, contains, flatten, is_perm, parse_pattern_list, pattern_set
 from patavoid.templates import (
     Template,
+    _family_at,
     certification_bound,
     certify_avoidance,
     generate_family,
@@ -142,7 +144,7 @@ class TestGeneration:
             for pi in generate_family(T_PAIR, n):
                 assert len(pi) == n and is_perm(pi)
 
-    @pytest.mark.parametrize("templates", [(T_STACK,), (T_FIVE,), T_PAIR])
+    @pytest.mark.parametrize("templates", [(T_STACK,), (T_FIVE,), T_PAIR, parse_template_list("12:11,21:11")])
     def test_against_membership_oracle(self, templates):
         tset = template_set(templates)
         cache = {}
@@ -150,6 +152,39 @@ class TestGeneration:
             generated = generate_family(tset, n)
             for pi in all_perms(n):
                 assert (pi in generated) == family_member_oracle(tset, pi, cache), (tset, pi)
+
+
+class TestFamilyArrays:
+    @pytest.mark.parametrize("templates", ["12:11", "12:11,21:11"])
+    def test_rows_strictly_increasing(self, templates):
+        # both families reach most members through several splits
+        tset = parse_template_list(templates)
+        for n in range(8):
+            rows = _family_at(tset, n)
+            assert rows.dtype == np.int16 and rows.shape[1] == n
+            members = rows.tolist()
+            assert all(a < b for a, b in zip(members, members[1:])), (templates, n)
+            assert {tuple(m) for m in members} == generate_family(tset, n)
+
+    def test_overlapping_splits_counted_once(self):
+        # separable permutations: the large Schroeder numbers
+        tset = parse_template_list("12:11,21:11")
+        assert [len(_family_at(tset, n)) for n in range(8)] == [1, 1, 2, 6, 22, 90, 394, 1806]
+        assert [len(_family_at(parse_template_list("12:11"), n)) for n in range(8)] == [1] * 8
+
+    def test_lengths_without_a_split(self):
+        tset = parse_template_list("123:000")
+        assert [_family_at(tset, n).shape for n in range(6)] == [(1, 0), (1, 1), (0, 2), (1, 3), (0, 4), (0, 5)]
+        assert [len(generate_family(tset, n)) for n in range(6)] == [1, 1, 0, 1, 0, 0]
+        cert = certify_avoidance(tset, [(2, 1)])
+        assert cert.verified and cert.bound == 5
+
+    def test_cached_arrays_read_only(self):
+        for n in range(5):
+            rows = _family_at(template_set(T_PAIR), n)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[:] = 0
 
 
 class TestRecurrences:
