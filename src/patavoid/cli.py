@@ -26,7 +26,7 @@ from .counting import (
 from .perms import format_pattern_set, format_perm, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
-from .templates import certify_avoidance, generate_family, parse_template_list
+from .templates import _family_at, certify_avoidance, parse_template_list
 
 
 class CLIError(Exception):
@@ -163,17 +163,19 @@ def _cmd_count(args) -> int:
 def _cmd_template(args) -> int:
     if args.template_cmd == "gen":
         templates = parse_template_list(args.templates)
-        members = sorted(generate_family(templates, args.n))
+        if args.n < 0:
+            raise CLIError("n must be >= 0")
+        members = format_pattern_set(row.tolist() for row in _family_at(templates, args.n))
         if args.emit == "json":
             _emit_json({
                 "templates": [str(t) for t in templates],
                 "n": args.n,
                 "size": len(members),
-                "members": format_pattern_set(members),
+                "members": members,
             })
         else:
-            for pi in members:
-                _emit(format_perm(pi))
+            for text in members:
+                _emit(text)
         return 0
     if args.template_cmd == "certify":
         templates = parse_template_list(args.templates)

@@ -20,10 +20,11 @@ numpy arrays, testing all candidate embeddings of each reduced pattern with
 one gather and one matrix product per pattern. Two independent oracles back
 them in the tests: ``count_avoiders_naive`` filters all n! permutations (up
 to n=8), and ``count_avoiders_tree`` grows the same tree one permutation at
-a time in plain python, kept deliberately simple, for lengths past that.
-The gather and order check (``_matches``) is the one vectorized containment
-kernel; ``rows_containing`` reduces its matches to one bit per row for the
-template certificates.
+a time, for lengths past that, keeping a child iff ``perms.avoids`` says so.
+That oracle never uses the gap rule above, which ``_gap_matrix`` alone
+states. The gather and order check (``_matches``) is the one vectorized
+containment kernel; ``rows_containing`` reduces its matches to one bit per
+row for the template certificates.
 
 ``count_avoiders_many`` counts many pattern sets at once (a survey's
 classes). Every set's tree is a subtree of the tree of all permutations,
@@ -108,98 +109,6 @@ def _prepare(patterns: Iterable[Sequence[int]]) -> tuple[PatternSet, list[tuple[
     return sigma, prepped
 
 
-def _gap_range(positions: Sequence[int], m_idx: int, n: int) -> tuple[int, int]:
-    """
-    Given an embedding of a reduced pattern at ``positions`` in a length-n
-    parent, the inclusive range of gaps p whose insertion completes it to an
-    occurrence of the full pattern: elements before the deleted maximum must
-    land left of p, the rest right of it.
-    """
-    lo = positions[m_idx - 1] + 1 if m_idx >= 1 else 0
-    hi = positions[m_idx] if m_idx < len(positions) else n
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
-# Pure-python tree (the oracle behind count_avoiders_tree)
-# ---------------------------------------------------------------------------
-
-def _occurrence_gaps(parent: Perm, reduced: Perm, m_idx: int) -> Iterator[tuple[int, int]]:
-    """
-    Yield the gap ranges of every embedding of ``reduced`` in ``parent``
-    (backtracking with order-isomorphism pruning, same idea as contains()).
-    """
-    k = len(reduced)
-    n = len(parent)
-    if k == 0:
-        yield _gap_range((), m_idx, n)
-        return
-    if k > n:
-        return
-    chosen_pos: list[int] = []
-    chosen_val: list[int] = []
-
-    def go(depth: int, start: int) -> Iterator[tuple[int, int]]:
-        if depth == k:
-            yield _gap_range(chosen_pos, m_idx, n)
-            return
-        r_d = reduced[depth]
-        for pos in range(start, n - (k - depth) + 1):
-            v = parent[pos]
-            for t, w in enumerate(chosen_val):
-                if (w < v) != (reduced[t] < r_d):
-                    break
-            else:
-                chosen_pos.append(pos)
-                chosen_val.append(v)
-                yield from go(depth + 1, pos + 1)
-                chosen_pos.pop()
-                chosen_val.pop()
-
-    yield from go(0, 0)
-
-
-def _bad_gaps(parent: Perm, prepped: list[tuple[Perm, int, Perm]]) -> set[int]:
-    """Gaps of ``parent`` where inserting the new maximum creates an occurrence."""
-    n = len(parent)
-    bad: set[int] = set()
-    for _sigma, m_idx, reduced in prepped:
-        if len(reduced) > n:
-            continue
-        for lo, hi in _occurrence_gaps(parent, reduced, m_idx):
-            bad.update(range(lo, hi + 1))
-            if len(bad) == n + 1:
-                return bad
-    return bad
-
-
-def _grow_tree(
-    patterns: PatternSet,
-    prepped: list[tuple[Perm, int, Perm]],
-    max_n: int,
-    budget: int,
-) -> Iterator[list[Perm]]:
-    """Yield the avoider levels 0..max_n in order, as lists of tuples."""
-    level: list[Perm] = [()] if avoids((), patterns) else []
-    nodes = len(level)
-    yield level
-    for n in range(max_n):
-        new_val = n + 1
-        nxt: list[Perm] = []
-        for parent in level:
-            bad = _bad_gaps(parent, prepped)
-            for p in range(n + 1):
-                if p not in bad:
-                    nxt.append(parent[:p] + (new_val,) + parent[p:])
-        nodes += len(nxt)
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"insertion tree exceeded node budget {budget} at length {n + 1}"
-            )
-        level = nxt
-        yield level
-
-
 # ---------------------------------------------------------------------------
 # Vectorized tree engine
 # ---------------------------------------------------------------------------
@@ -219,7 +128,14 @@ def _combo_index(n: int, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _gap_matrix(n: int, k: int, m_idx: int) -> np.ndarray:
-    """(C, n+1) float32 matrix: gap p completes embedding c, per _gap_range."""
+    """
+    (C, n+1) float32 matrix: 1 where inserting the new maximum at gap p
+    completes embedding c of a reduced pattern, whose maximum was at
+    ``m_idx``, to an occurrence of the full pattern. The entries before the
+    deleted maximum must land left of p and the rest right of it, so p runs
+    from one past the entry before it to the position of the entry after it
+    (0 and n where there is none).
+    """
     combos = _combo_index(n, k)
     c = combos.shape[0]
     lo = np.zeros(c, dtype=np.int64)
@@ -572,11 +488,25 @@ def count_avoiders_naive(patterns: Iterable[Sequence[int]], max_n: int) -> Count
 
 def count_avoiders_tree(patterns: Iterable[Sequence[int]], max_n: int) -> CountSequence:
     """
-    Count by growing the insertion tree one permutation at a time, sharing
-    none of the numpy kernel. Oracle only, for lengths past the naive cap.
+    Count by growing the insertion tree one permutation at a time: insert
+    the new maximum at every gap of every surviving parent and keep the
+    child iff ``perms.avoids`` says so. It shares nothing with the numpy
+    kernel but the insertion-tree lemma. Oracle only, for lengths past the
+    naive cap.
+
+    >>> count_avoiders_tree([(1, 3, 2)], 5).counts
+    (1, 1, 2, 5, 14, 42)
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    sigma, prepped = _prepare(patterns)
-    levels = _grow_tree(sigma, prepped, max_n, resolve_node_budget(None))
-    return CountSequence(counts=tuple(len(level) for level in levels), patterns=sigma)
+    sigma = pattern_set(patterns)
+    budget = resolve_node_budget(None)
+    level: list[Perm] = [()] if avoids((), sigma) else []
+    counts = [len(level)]
+    for n in range(1, max_n + 1):
+        children = (parent[:p] + (n,) + parent[p:] for parent in level for p in range(n))
+        level = [child for child in children if avoids(child, sigma)]
+        counts.append(len(level))
+        if sum(counts) > budget:
+            raise BudgetExceededError(f"insertion tree exceeded node budget {budget} at length {n}")
+    return CountSequence(counts=tuple(counts), patterns=sigma)

@@ -73,51 +73,22 @@ def _diff(seq: Sequence[int]) -> list[int]:
     return [b - a for a, b in zip(seq, seq[1:])]
 
 
-def _binomial_poly(k: int) -> list[Fraction]:
-    """Coefficients of x(x-1)...(x-k+1)/k! in ascending powers."""
-    coeffs = [Fraction(1)]
-    for j in range(k):
-        # multiply by (x - j) / (j + 1)
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [s - j * c for s, c in zip(shifted, coeffs + [Fraction(0)])]
-        coeffs = [c / (j + 1) for c in coeffs]
-    return coeffs
-
-
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _shift_poly(coeffs: list[Fraction], shift: int) -> list[Fraction]:
-    """Coefficients of p(x + shift) given those of p(x)."""
-    out = [Fraction(0)] * len(coeffs)
-    base = [Fraction(1)]  # (x + shift)^k, built up term by term
-    for c in coeffs:
-        for i, b in enumerate(base):
-            out[i] += c * b
-        base = _poly_mul(base, [Fraction(shift), Fraction(1)])
-    return out
-
-
 def _interpolate_tail(seq: Sequence[int], n0: int, degree: int) -> tuple[Fraction, ...]:
     """
     Exact polynomial through seq[n0 .. n0+degree], as a polynomial in the
-    sequence index, via the forward-difference expansion at n0.
+    sequence index: Newton's forward form at n0, the sum over k of the k-th
+    difference at n0 times C(x - n0, k).
     """
-    window = list(seq[n0:])
     coeffs = [Fraction(0)] * (degree + 1)
-    diffs = window
+    basis = [Fraction(1)]  # C(x - n0, k) in ascending powers of x
+    diffs = list(seq[n0:])
     for k in range(degree + 1):
-        lead = diffs[0]
-        for i, c in enumerate(_binomial_poly(k)):
-            coeffs[i] += lead * c
+        for i, b in enumerate(basis):
+            coeffs[i] += diffs[0] * b
+        # C(x - n0, k + 1) = C(x - n0, k) * (x - n0 - k) / (k + 1)
+        basis = [(a - (n0 + k) * b) / (k + 1) for a, b in zip([0, *basis], [*basis, 0])]
         diffs = _diff(diffs)
-    # coeffs is in the variable (index - n0); shift back to the raw index
-    return tuple(_shift_poly(coeffs, -n0))
+    return tuple(coeffs)
 
 
 def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:

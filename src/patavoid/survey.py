@@ -137,7 +137,6 @@ def fill_counts(
     max_n: int,
     *,
     node_budget: int | None = None,
-    classify_records: bool = True,
     stream: IO[str] | None = None,
 ) -> None:
     """
@@ -157,8 +156,7 @@ def fill_counts(
             record.node_budget = budget
         else:
             record.counts = tuple(result.counts[1:])
-            if classify_records:
-                record.report = classify(list(record.counts))
+            record.report = classify(list(record.counts))
         if stream is not None:
             stream.write(json.dumps(record.to_json_dict()) + "\n")
             stream.flush()

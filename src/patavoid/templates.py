@@ -33,7 +33,7 @@ answer ends on with ``perms.contains``.
 Generated families are memoized per (template set, length) for the life of
 the process as read-only (members, n) int16 arrays, rows sorted and
 distinct; the cache tolerates concurrent readers (worst case a value is
-computed twice). ``clear_family_cache`` drops it.
+computed twice).
 """
 from __future__ import annotations
 
@@ -202,10 +202,6 @@ def _family_at(tset: TemplateSet, n: int) -> np.ndarray:
     for m in range(2, n):  # warm the cache iteratively; keeps recursion shallow
         _family(tset, m)
     return _family(tset, n)
-
-
-def clear_family_cache() -> None:
-    _family.cache_clear()
 
 
 # ---------------------------------------------------------------------------

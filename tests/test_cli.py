@@ -3,6 +3,8 @@ import json
 import pytest
 
 from patavoid.cli import main
+from patavoid.perms import format_perm
+from patavoid.templates import generate_family, parse_template_list
 
 
 def run(capsys, *argv):
@@ -63,6 +65,18 @@ class TestTemplate:
         code, out, _ = run(capsys, "template", "gen", "--templates", "231:101", "--n", "3")
         assert code == 0
         assert out.split() == ["123", "213", "231", "312", "321"]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_gen_lists_sorted_family(self, capsys, n):
+        expected = [format_perm(pi) for pi in sorted(generate_family(parse_template_list("12:11,21:11"), n))]
+        _, text, _ = run(capsys, "template", "gen", "--templates", "12:11,21:11", "--n", str(n))
+        _, out, _ = run(capsys, "template", "gen", "--templates", "12:11,21:11", "--n", str(n), "--emit", "json")
+        assert text.splitlines() == expected
+        assert json.loads(out) == {"templates": ["12:11", "21:11"], "n": n, "size": len(expected), "members": expected}
+
+    def test_gen_negative_n(self, capsys):
+        code, out, err = run(capsys, "template", "gen", "--templates", "12:11", "--n", "-1")
+        assert (code, out, err) == (1, "", "error: n must be >= 0\n")
 
     def test_certify_text(self, capsys):
         code, out, _ = run(

@@ -87,6 +87,20 @@ class TestNaiveOracle:
             assert count_avoiders_tree(sigma, 5).counts == naive, sigma
 
 
+class TestTreeOracle:
+    @pytest.mark.parametrize("sigma", [[], [()], [(1,)], [(1, 2), (2, 1)]], ids=repr)
+    def test_edge_sets_match_naive(self, sigma):
+        assert count_avoiders_tree(sigma, 8).counts == count_avoiders_naive(sigma, 8).counts
+
+    def test_env_budget_matches_engine(self, monkeypatch):
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "40")
+        with pytest.raises(BudgetExceededError) as engine:
+            count_avoiders([(1, 3, 2)], 10)
+        with pytest.raises(BudgetExceededError) as oracle:
+            count_avoiders_tree([(1, 3, 2)], 10)
+        assert str(oracle.value) == str(engine.value) == "insertion tree exceeded node budget 40 at length 5"
+
+
 class TestEnumerate:
     def test_known_class(self):
         got = enumerate_avoiders([(1, 3, 2)], 3)
