@@ -1,22 +1,22 @@
 """
 Classification of integer counting sequences.
 
-Three shapes are recognized, in precedence order:
+Each shape is a trailing run of equal values in one row of numbers, and the
+run start is its threshold. In precedence order:
 
 - eventually zero: the sequence ends in a run of at least three zeros;
-- eventually polynomial: past some threshold the d-th finite differences
-  are constant, witnessed by at least three difference values (so at least
-  d + 3 terms from the threshold on: the polynomial is pinned down by d + 1
-  of them and confirmed by the rest). Smallest degree wins, then smallest
-  threshold;
+- eventually polynomial of degree d: the d-th differences end in a run of
+  at least three values (d + 1 terms from the threshold on pin the
+  polynomial down, the rest confirm it). Smallest degree wins;
 - Fibonacci-with-drift: f(n) = f(n-1) + f(n-2) + a*n + b past a threshold,
-  with at least five confirming terms beyond the two used to solve for
-  (a, b).
+  i.e. the differences of the excess f(n) - f(n-1) - f(n-2) end in a run of
+  a's, at least six long by default (two terms fix (a, b), five confirm).
 
-Everything is exact: differences and recurrence checks in integer
-arithmetic, polynomial reconstruction in Fractions (floating point would
-misread near-degenerate difference tables). Sequences are indexed from 0
-at their first term; thresholds and coefficients refer to that indexing.
+Each difference row is built once, from the one before. Everything is
+exact: integer arithmetic, and Fractions for polynomial reconstruction
+(floating point would misread near-degenerate difference tables).
+Sequences are indexed from 0 at their first term; thresholds and
+coefficients refer to that indexing.
 """
 from __future__ import annotations
 
@@ -73,21 +73,28 @@ def _diff(seq: Sequence[int]) -> list[int]:
     return [b - a for a, b in zip(seq, seq[1:])]
 
 
-def _interpolate_tail(seq: Sequence[int], n0: int, degree: int) -> tuple[Fraction, ...]:
+def _run_start(values: Sequence[int]) -> int:
+    """The index where the longest run of equal values ending ``values`` begins."""
+    start = len(values)
+    while start > 0 and values[start - 1] == values[-1]:
+        start -= 1
+    return start
+
+
+def _interpolate_tail(column: Sequence[int], n0: int) -> tuple[Fraction, ...]:
     """
-    Exact polynomial through seq[n0 .. n0+degree], as a polynomial in the
-    sequence index: Newton's forward form at n0, the sum over k of the k-th
-    difference at n0 times C(x - n0, k).
+    Exact polynomial of degree len(column) - 1 through the terms from n0 on,
+    as a polynomial in the sequence index, given column[k], the k-th
+    difference at n0: Newton's forward form at n0, the sum over k of
+    column[k] times C(x - n0, k).
     """
-    coeffs = [Fraction(0)] * (degree + 1)
+    coeffs = [Fraction(0)] * len(column)
     basis = [Fraction(1)]  # C(x - n0, k) in ascending powers of x
-    diffs = list(seq[n0:])
-    for k in range(degree + 1):
+    for k, delta in enumerate(column):
         for i, b in enumerate(basis):
-            coeffs[i] += diffs[0] * b
+            coeffs[i] += delta * b
         # C(x - n0, k + 1) = C(x - n0, k) * (x - n0 - k) / (k + 1)
         basis = [(a - (n0 + k) * b) / (k + 1) for a, b in zip([0, *basis], [*basis, 0])]
-        diffs = _diff(diffs)
     return tuple(coeffs)
 
 
@@ -109,29 +116,23 @@ def detect_eventual_polynomial(
     >>> detect_eventual_polynomial([5, 5, 5, 5, 5, 5, 5], 3)
     PolynomialFit(degree=0, threshold=0, coefficients=(Fraction(5, 1),))
     """
-    seq = list(seq)
     if len(seq) < 4:
         raise ValueError("need at least 4 terms")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    length = len(seq)
+    rows = [list(seq)]  # rows[d] holds the d-th differences
     for d in range(max_degree + 1):
-        diffs = list(seq)
-        for _ in range(d):
-            diffs = _diff(diffs)
-        # diffs[i] is the d-th difference of the tail starting at term i;
-        # the range keeps at least three difference values on the tail
-        for n0 in range(length - d - 2):
-            values = diffs[n0:]
-            if all(v == values[0] for v in values):
-                return PolynomialFit(d, n0, _interpolate_tail(seq, n0, d))
+        n0 = _run_start(rows[d])
+        if len(rows[d]) - n0 >= 3:
+            return PolynomialFit(d, n0, _interpolate_tail([row[n0] for row in rows], n0))
+        rows.append(_diff(rows[d]))
     return None
 
 
 def detect_fib_like(seq: Sequence[int], min_confirmations: int = 5) -> FibLikeFit | None:
     """
     Find the smallest threshold n0 such that f(n) = f(n-1) + f(n-2) + a*n + b
-    holds from n0 on, where (a, b) is solved from n = n0, n0+1 and the rest
+    holds from n0 on, where (a, b) is fixed by n = n0, n0+1 and the rest
     of the sequence confirms it (at least five confirmations by default;
     the randomized survey's tally lowers the bar to four, matching the
     by-eye standard short windows were originally judged with).
@@ -139,19 +140,18 @@ def detect_fib_like(seq: Sequence[int], min_confirmations: int = 5) -> FibLikeFi
     >>> detect_fib_like([1, 1, 2, 3, 5, 8, 13, 21, 34])
     FibLikeFit(a=0, b=0, threshold=2)
     """
-    seq = list(seq)
     if len(seq) < 9:
         raise ValueError("need at least 9 terms")
-    length = len(seq)
-    excess = [seq[n] - seq[n - 1] - seq[n - 2] for n in range(2, length)]
-    for n0 in range(2, length - 1 - min_confirmations):
-        d1 = excess[n0 - 2]
-        d2 = excess[n0 - 1]
-        a = d2 - d1
-        b = d1 - a * n0
-        if all(excess[n - 2] == a * n + b for n in range(n0 + 2, length)):
-            return FibLikeFit(a, b, n0)
-    return None
+    # excess[i] is e(i + 2); e(n) = a*n + b from n0 on iff its differences
+    # equal a from index n0 - 2 on
+    excess = [seq[n] - seq[n - 1] - seq[n - 2] for n in range(2, len(seq))]
+    slopes = _diff(excess)
+    start = _run_start(slopes)
+    if len(slopes) - start < min_confirmations + 1:
+        return None
+    a = slopes[-1]
+    n0 = start + 2
+    return FibLikeFit(a, excess[start] - a * n0, n0)
 
 
 def classify(seq: Sequence[int], max_degree: int = 7) -> ClassificationReport:
@@ -164,20 +164,13 @@ def classify(seq: Sequence[int], max_degree: int = 7) -> ClassificationReport:
     >>> classify([1, 2, 4, 6, 8, 10, 12, 14]).degree
     1
     """
-    seq = list(seq)
     if len(seq) < 4:
         raise ValueError("need at least 4 terms")
     length = len(seq)
 
-    zeros = 0
-    for v in reversed(seq):
-        if v != 0:
-            break
-        zeros += 1
-    if zeros >= 3:
-        return ClassificationReport(
-            verdict="zero", threshold=length - zeros, evidence=zeros
-        )
+    start = _run_start(seq)
+    if seq[-1] == 0 and length - start >= 3:
+        return ClassificationReport(verdict="zero", threshold=start, evidence=length - start)
 
     fit = detect_eventual_polynomial(seq, max_degree)
     if fit is not None:

@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import IO, Callable, Iterable, Iterator
+from typing import IO, Iterable
 
 from .counting import BudgetExceededError, count_avoiders, count_avoiders_many, resolve_node_budget
 from .perms import (
@@ -119,17 +119,9 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _pool_map(fn: Callable, tasks: list, workers: int, chunksize: int) -> Iterator:
-    """
-    ``fn`` over ``tasks`` in task order, so output is the same for any worker
-    count: serially for one worker or task, else on a fork pool.
-    """
-    _check_workers(workers)
-    if workers == 1 or len(tasks) <= 1:
-        yield from map(fn, tasks)
-        return
-    with get_context("fork").Pool(workers) as pool:
-        yield from pool.imap(fn, tasks, chunksize=chunksize)
+def _report(counts: tuple[int, ...]) -> ClassificationReport | None:
+    """The classification of a record's counts; None below the 4 terms it needs."""
+    return classify(list(counts)) if len(counts) >= 4 else None
 
 
 def fill_counts(
@@ -156,7 +148,7 @@ def fill_counts(
             record.node_budget = budget
         else:
             record.counts = tuple(result.counts[1:])
-            record.report = classify(list(record.counts))
+            record.report = _report(record.counts)
         if stream is not None:
             stream.write(json.dumps(record.to_json_dict()) + "\n")
             stream.flush()
@@ -322,9 +314,9 @@ def sample_pattern_subset(seed: int, trial: int, num_patterns: int, pattern_leng
     return pattern_set(pool[:num_patterns])
 
 
-def _run_trial(args: tuple[int, int, int, int, int, int]) -> TrialResult:
-    seed, trial, num_patterns, pattern_length, max_n, budget = args
-    patterns = sample_pattern_subset(seed, trial, num_patterns, pattern_length)
+def _run_trial(args: tuple[int, int, int, int, int]) -> TrialResult:
+    seed, trial, num_patterns, max_n, budget = args
+    patterns = sample_pattern_subset(seed, trial, num_patterns)
     seq = count_avoiders(patterns, max_n, node_budget=budget)
     report = classify(list(seq.counts))
     return TrialResult(index=trial, patterns=patterns, counts=seq.counts, report=report)
@@ -336,15 +328,15 @@ def random_experiment(
     trials: int,
     seed: int,
     *,
-    pattern_length: int = 4,
     workers: int = 1,
     node_budget: int | None = None,
 ) -> ExperimentResult:
     """
-    Draw ``trials`` random pattern subsets (with replacement across trials),
-    count avoiders to max_n, classify each full counting sequence, and
-    tabulate the verdict buckets. Deterministic given the seed, for any
-    worker count.
+    Draw ``trials`` random subsets of the length-4 patterns (with
+    replacement across trials), count avoiders to max_n, classify each full
+    counting sequence, and tabulate the verdict buckets. Trials run in
+    order, serially for one worker or trial, else on a fork pool, so the
+    result is the same for any worker count.
 
     The drift-recurrence tally over the non-polynomial trials accepts a
     tail of six consecutive recurrence steps (two to solve for the drift,
@@ -356,19 +348,20 @@ def random_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     budget = resolve_node_budget(node_budget)
-    tasks = [(seed, t, num_patterns, pattern_length, max_n, budget) for t in range(trials)]
-    results = list(_pool_map(_run_trial, tasks, workers, chunksize=4))
+    _check_workers(workers)
+    tasks = [(seed, t, num_patterns, max_n, budget) for t in range(trials)]
+    if workers == 1 or trials == 1:
+        results = list(map(_run_trial, tasks))
+    else:
+        with get_context("fork").Pool(workers) as pool:
+            results = list(pool.imap(_run_trial, tasks, chunksize=4))
     bucket_counts = {b: 0 for b in BUCKETS}
-    fib = 0
-    fib_strict = 0
     for r in results:
         bucket_counts[r.bucket] += 1
-        if r.bucket == "non_polynomial":
-            if r.report.verdict == "fib_like":
-                fib_strict += 1
-                fib += 1
-            elif len(r.counts) >= 9 and detect_fib_like(r.counts, min_confirmations=4):
-                fib += 1
+    nonpoly = [r.counts for r in results if r.bucket == "non_polynomial"]
+    fib_strict = sum(r.report.verdict == "fib_like" for r in results)
+    # every strict fit also passes the looser by-eye check
+    fib = sum(len(c) >= 9 and detect_fib_like(c, min_confirmations=4) is not None for c in nonpoly)
     return ExperimentResult(
         num_patterns=num_patterns,
         max_n=max_n,
@@ -390,7 +383,7 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
     record = SurveyRecord(patterns=patterns, orbit_size=int(data["orbit"]))
     if "counts" in data:
         record.counts = tuple(int(v) for v in data["counts"])
-        record.report = classify(list(record.counts)) if len(record.counts) >= 4 else None
+        record.report = _report(record.counts)
     if "error" in data:
         record.error = data["error"]
         record.node_budget = data.get("node_budget")
@@ -431,19 +424,21 @@ def run_survey_to_file(
     *,
     workers: int = 1,
     node_budget: int | None = None,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> list[SurveyRecord]:
     """
     Enumerate symmetry classes, count each representative to max_n, and
     write the records to out_path as JSON Lines. Classes already in the
     file are skipped and their records merged into the result (resume,
     under the rules of the module docstring). Errors, including a worker
-    count below 1, are raised before the file is changed. ``workers`` is
+    count below 1 and a max_n below 1, are raised before the file is
+    opened or changed. ``workers`` is
     ignored, and kept only for callers that pass it (``bench/workload.py``).
     """
     _check_workers(workers)
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     budget = resolve_node_budget(node_budget)
-    classes = enumerate_symmetry_classes(num_patterns, pattern_length, subset_budget=subset_budget)
+    classes = enumerate_symmetry_classes(num_patterns, pattern_length)
     try:
         stored, complete = _load_survey(out_path)
     except FileNotFoundError:

@@ -163,6 +163,26 @@ class TestSurveyCommands:
         code, _, err = run(capsys, "survey", "--num-patterns", "2", "--pattern-length", "3")
         assert code == 1 and "--out" in err
 
+    def test_run_below_four_terms(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        code, out, err = run(
+            capsys, "survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "3", "--out", str(path)
+        )
+        assert code == 0 and err == ""
+        assert "surveyed 2 symmetry classes" in out
+        assert path.read_text().splitlines()[0] == '{"class": ["123"], "orbit": 2, "counts": [1, 2, 5]}'
+        code, out, _ = run(capsys, "survey", "wilf", "--in", str(path), "--emit", "json")
+        assert code == 0 and json.loads(out)["horizon"] == 3
+
+    def test_run_max_n_zero_rejected(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        code, out, err = run(
+            capsys, "survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "0", "--out", str(path)
+        )
+        assert code == 1 and out == ""
+        assert "max_n must be >= 1" in err
+        assert not path.exists()
+
     def test_resume_rejects_failures_under_another_budget(self, capsys, tmp_path):
         path = tmp_path / "s.jsonl"
         survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "9", "--out", str(path)]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patavoid.seqanalysis import (
@@ -155,3 +155,159 @@ class TestClassify:
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
             classify([1, 2, 3])
+
+
+# ---------------------------------------------------------------------------
+# The trailing-run rule against the direct scans it replaced
+# ---------------------------------------------------------------------------
+
+def reference_polynomial(seq, max_degree):
+    """(degree, threshold): re-difference per degree, test every threshold."""
+    length = len(seq)
+    for d in range(max_degree + 1):
+        diffs = list(seq)
+        for _ in range(d):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        for n0 in range(length - d - 2):
+            values = diffs[n0:]
+            if all(v == values[0] for v in values):
+                return d, n0
+    return None
+
+
+def reference_fib_like(seq, min_confirmations):
+    """(a, b, threshold): solve (a, b) at every threshold, check the tail."""
+    length = len(seq)
+    excess = [seq[n] - seq[n - 1] - seq[n - 2] for n in range(2, length)]
+    for n0 in range(2, length - 1 - min_confirmations):
+        a = excess[n0 - 1] - excess[n0 - 2]
+        b = excess[n0 - 2] - a * n0
+        if all(excess[n - 2] == a * n + b for n in range(n0 + 2, length)):
+            return a, b, n0
+    return None
+
+
+def reference_classify(seq, max_degree=7):
+    """The report's fields, with the coefficients left out."""
+    length = len(seq)
+    zeros = 0
+    for v in reversed(seq):
+        if v != 0:
+            break
+        zeros += 1
+    if zeros >= 3:
+        return ("zero", length - zeros, None, None, None, zeros)
+    fit = reference_polynomial(seq, max_degree)
+    if fit is not None:
+        d, n0 = fit
+        return ("polynomial", n0, d, None, None, length - n0 - d - 1)
+    if length >= 9:
+        fib = reference_fib_like(seq, 5)
+        if fib is not None:
+            a, b, n0 = fib
+            return ("fib_like", n0, None, a, b, length - n0 - 2)
+    return ("unclassified", None, None, None, None, 0)
+
+
+def assert_polynomial_matches(seq, max_degree):
+    fit = detect_eventual_polynomial(seq, max_degree)
+    expected = reference_polynomial(seq, max_degree)
+    if expected is None:
+        assert fit is None
+        return
+    assert (fit.degree, fit.threshold) == expected
+    # a polynomial of degree d is pinned down by d + 1 terms of the tail
+    assert len(fit.coefficients) == fit.degree + 1
+    assert all(eval_poly(fit.coefficients, n) == seq[n] for n in range(fit.threshold, len(seq)))
+
+
+def assert_classify_matches(seq, max_degree=7):
+    report = classify(seq, max_degree)
+    fields = (report.verdict, report.threshold, report.degree, report.a, report.b, report.evidence)
+    assert fields == reference_classify(seq, max_degree)
+    if report.verdict == "polynomial":
+        assert report.coefficients == detect_eventual_polynomial(seq, max_degree).coefficients
+    else:
+        assert report.coefficients is None
+
+
+def assert_all_shapes_match(seq):
+    for max_degree in range(9):
+        assert_polynomial_matches(seq, max_degree)
+    if len(seq) >= 9:
+        for min_confirmations in range(3, 8):
+            fit = detect_fib_like(seq, min_confirmations)
+            expected = reference_fib_like(seq, min_confirmations)
+            assert (fit and tuple(fit)) == expected
+    assert_classify_matches(seq)
+
+
+def perturbed(seq, bumps):
+    seq = list(seq)
+    for i, delta in bumps:
+        seq[i % len(seq)] += delta
+    return seq
+
+
+bumps = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=15), st.sampled_from([-3, -1, 1, 2])), max_size=2
+)
+repeat_rich = st.lists(st.sampled_from([0, 0, 0, 1, 1, 2, -1, 3]), min_size=4, max_size=16)
+
+
+@st.composite
+def perturbed_polynomials(draw):
+    coeffs = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6))
+    length = draw(st.integers(min_value=4, max_value=16))
+    start = draw(st.integers(min_value=-3, max_value=3))
+    return perturbed(sample_poly(coeffs, start, length), draw(bumps))
+
+
+@st.composite
+def perturbed_drift(draw):
+    a, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+    seq = [draw(st.integers(-5, 5)), draw(st.integers(-5, 5))]
+    for n in range(2, draw(st.integers(min_value=4, max_value=16))):
+        seq.append(seq[-1] + seq[-2] + a * n + b)
+    return perturbed(seq, draw(bumps))
+
+
+class TestTrailingRunRule:
+    @settings(max_examples=500)
+    @given(st.one_of(repeat_rich, perturbed_polynomials(), perturbed_drift()))
+    def test_matches_direct_scans(self, seq):
+        assert_all_shapes_match(seq)
+
+    def test_constant_sequence(self):
+        seq = [4] * 8
+        assert_all_shapes_match(seq)
+        report = classify(seq)
+        assert (report.verdict, report.degree, report.threshold, report.evidence) == ("polynomial", 0, 0, 7)
+
+    def test_two_against_three_trailing_zeros(self):
+        two = [3, 1, 4, 1, 5, 0, 0]
+        three = [3, 1, 4, 1, 5, 0, 0, 0]
+        assert classify(two).verdict != "zero"
+        report = classify(three)
+        assert (report.verdict, report.threshold, report.evidence) == ("zero", 5, 3)
+        assert_all_shapes_match(two)
+        assert_all_shapes_match(three)
+
+    @pytest.mark.parametrize("max_degree", [5, 6, 40])
+    def test_max_degree_past_the_sequence(self, max_degree):
+        # the difference rows run out, and empty rows have no run
+        assert detect_eventual_polynomial([1, 2, 4, 8, 16], max_degree) is None
+        assert_polynomial_matches([1, 2, 4, 8, 16], max_degree)
+
+    def test_fib_fit_on_nine_terms(self):
+        seq = [2, 3]
+        for n in range(2, 9):
+            seq.append(seq[-1] + seq[-2] + 2 * n - 1)
+        assert tuple(detect_fib_like(seq)) == (2, -1, 2)
+        # a bumped first term leaves five recurrence steps: too few for
+        # five confirmations, enough for four
+        bumped = [seq[0] + 1, *seq[1:]]
+        assert detect_fib_like(bumped) is None
+        assert tuple(detect_fib_like(bumped, min_confirmations=4)) == (2, -1, 3)
+        assert_all_shapes_match(seq)
+        assert_all_shapes_match(bumped)

@@ -79,6 +79,14 @@ class TestWilfSurvey:
         with pytest.raises(ValueError, match="fewer than 8 counts"):
             wilf_survey(read_survey(path), 8)
 
+    @pytest.mark.parametrize("max_n", [1, 2, 3])
+    def test_horizons_below_four_terms(self, max_n):
+        # too few counts to classify: the records carry counts, no verdict
+        records = enumerate_symmetry_classes(2, 3)
+        clustering = wilf_survey(records, max_n)
+        assert all(len(r.counts) == max_n and r.report is None for r in records)
+        assert sum(len(group) for group in clustering.clusters.values()) == len(records)
+
     def test_budget_failures_recorded_not_raised(self):
         records = enumerate_symmetry_classes(1, 3)
         clustering = wilf_survey(records, 9, node_budget=30)
@@ -189,6 +197,24 @@ class TestPersistence:
         assert rows[0]["orbit"] == 2
         assert rows[0]["counts"][0] == 1
         assert "verdict" in rows[0]
+
+    def test_short_horizon_round_trips(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        records = run_survey_to_file(1, 3, 3, str(path))
+        assert path.read_text().splitlines() == [
+            '{"class": ["123"], "orbit": 2, "counts": [1, 2, 5]}',
+            '{"class": ["132"], "orbit": 4, "counts": [1, 2, 5]}',
+        ]
+        loaded = read_survey(str(path))
+        assert [(r.counts, r.report) for r in loaded] == [(r.counts, r.report) for r in records]
+        assert all(r.report is None for r in loaded)
+        assert run_survey_to_file(1, 3, 3, str(path))[0].counts == (1, 2, 5)
+
+    def test_max_n_below_one_rejected_before_the_file(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        with pytest.raises(ValueError, match="max_n must be >= 1"):
+            run_survey_to_file(1, 3, 0, str(path))
+        assert not path.exists()
 
     def test_resume_after_torn_write_at_every_byte(self, tmp_path):
         whole = tmp_path / "whole.jsonl"
