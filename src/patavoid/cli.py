@@ -29,13 +29,9 @@ from .survey import cluster_fingerprints, polynomial_scan, random_experiment, re
 from .templates import _family_at, certify_avoidance, parse_template_list
 
 
-class CLIError(Exception):
-    pass
-
-
 class Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2) on bad flags
-        raise CLIError(message)
+        raise ValueError(message)
 
 
 def _emit(text: str) -> None:
@@ -54,9 +50,9 @@ def _parse_seq(text: str) -> list[int]:
         try:
             out.append(int(tok))
         except ValueError:
-            raise CLIError(f"bad sequence: entry {i + 1} ({tok!r}) is not an integer") from None
+            raise ValueError(f"bad sequence: entry {i + 1} ({tok!r}) is not an integer") from None
     if not out:
-        raise CLIError("empty sequence")
+        raise ValueError("empty sequence")
     return out
 
 
@@ -164,7 +160,7 @@ def _cmd_template(args) -> int:
     if args.template_cmd == "gen":
         templates = parse_template_list(args.templates)
         if args.n < 0:
-            raise CLIError("n must be >= 0")
+            raise ValueError("n must be >= 0")
         members = format_pattern_set(row.tolist() for row in _family_at(templates, args.n))
         if args.emit == "json":
             _emit_json({
@@ -198,13 +194,13 @@ def _cmd_template(args) -> int:
                     f"of length {cert.witness_length} contains {format_perm(cert.witness_pattern)})"
                 )
         return 0
-    raise CLIError("template requires a subcommand: gen or certify")
+    raise ValueError("template requires a subcommand: gen or certify")
 
 
 def _cmd_analyze(args) -> int:
     seq = _parse_seq(args.seq)
     if len(seq) < 4:
-        raise CLIError("need at least 4 terms to classify")
+        raise ValueError("need at least 4 terms to classify")
     report = classify(seq, args.max_degree)
     if args.emit == "json":
         _emit_json(report.to_json_dict())
@@ -219,7 +215,7 @@ def _cmd_analyze(args) -> int:
 def _survey_records(args):
     records = read_survey(args.infile)
     if not records:
-        raise CLIError(f"no survey records in {args.infile}")
+        raise ValueError(f"no survey records in {args.infile}")
     return records
 
 
@@ -228,7 +224,7 @@ def _horizon(args, records) -> int:
         return args.max_n
     lengths = [len(r.counts) for r in records if r.counts]
     if not lengths:
-        raise CLIError("no record in the survey carries counts")
+        raise ValueError("no record in the survey carries counts")
     return min(lengths)
 
 
@@ -292,7 +288,7 @@ def _cmd_survey(args) -> int:
         return 0
     # no subcommand: run the survey
     if args.out is None:
-        raise CLIError("survey run requires --out (or use the wilf/polyscan subcommands)")
+        raise ValueError("survey run requires --out (or use the wilf/polyscan subcommands)")
     records = run_survey_to_file(
         args.num_patterns,
         args.pattern_length,
@@ -356,9 +352,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "reproduce": _cmd_reproduce,
         }[args.command]
         return handler(args)
-    except CLIError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

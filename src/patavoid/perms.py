@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -254,16 +255,28 @@ def symmetry_orbit(patterns: Iterable[Sequence[int]]) -> list[PatternSet]:
     return sorted(images, key=pattern_set_key)
 
 
+@lru_cache(maxsize=None)
+def _image_keys(p: Perm) -> tuple[tuple[int, Perm], ...]:
+    """The sort keys of the (validated) pattern's eight symmetry images, in SYMMETRIES order."""
+    p = perm(p)
+    return tuple(_perm_key(apply_symmetry(g, p)) for g in SYMMETRIES)
+
+
 def canonicalize_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
     """
     The canonical representative of the symmetry class of a pattern set:
     the least of its eight symmetry images under the total order. Two sets
     are in the same symmetry class iff their canonical forms are equal.
+    A symmetry maps distinct patterns to distinct patterns, so each image
+    is its patterns' images, sorted; sorting their cached keys sorts it
+    length-lexicographically and orders the images as pattern_set_key does.
 
     >>> canonicalize_set([(2, 3, 1)])
     ((1, 3, 2),)
     """
-    return symmetry_orbit(patterns)[0]
+    keys = [_image_keys(p) for p in {tuple(p) for p in patterns}]
+    least = min(tuple(sorted(image[g] for image in keys)) for g in range(len(SYMMETRIES)))
+    return tuple(p for _length, p in least)
 
 
 # ---------------------------------------------------------------------------

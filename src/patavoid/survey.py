@@ -4,19 +4,23 @@ fingerprint clustering, polynomial scans, and randomized classification
 experiments.
 
 A survey works on one record per symmetry class. The canonical
-representative is the least symmetry image of the set; counting one
-representative covers the whole class because the eight symmetries preserve
-containment and hence avoidance counts. Fingerprints (the counts at lengths
+representative is the least symmetry image of the set, as
+``perms.canonicalize_set`` computes it; counting one representative covers
+the whole class because the eight symmetries preserve containment and
+hence avoidance counts. A record's verdict is not stored state: its
+``report`` is ``classify`` of its counts, computed when read, and None
+below the 4 terms ``classify`` needs. Fingerprints (the counts at lengths
 1..N) cluster classes that are indistinguishable up to the horizon: equal
 fingerprints are necessary but not sufficient for Wilf equivalence, so the
 number of distinct fingerprints is a lower bound on the number of Wilf
 classes, and is always reported together with its horizon.
 
 All the records of a survey are counted together, in insertion trees
-shared between classes (``counting.count_avoiders_many``), then classified
-and written to a JSON Lines file, one record per line in record order, so a
-rerun resumes by skipping the classes already on disk. Readers skip a final
-line torn by an interrupted write, and a resumed survey cuts it off. A line
+shared between classes (``counting.count_avoiders_many``), then written,
+verdict included, to a JSON Lines file, one record per line in record
+order, so a rerun resumes by skipping the classes already on disk. Readers
+take the counts, ignore the stored verdict and skip a final line torn by
+an interrupted write, which a resumed survey cuts off. A line
 that does not parse, a stored record counted to another horizon, a stored
 budget failure under another node budget, and a stored class that is not
 one of the survey's are errors naming the file and line.
@@ -29,14 +33,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from multiprocessing import get_context
-from typing import IO, Iterable
+from typing import Iterable
 
 from .counting import BudgetExceededError, count_avoiders, count_avoiders_many, resolve_node_budget
 from .perms import (
-    SYMMETRIES,
     PatternSet,
     all_perms,
-    apply_symmetry,
+    canonicalize_set,
     format_pattern_set,
     parse_perm,
     pattern_set,
@@ -44,7 +47,7 @@ from .perms import (
 )
 from .seqanalysis import ClassificationReport, classify, detect_eventual_polynomial, detect_fib_like
 
-DEFAULT_SUBSET_BUDGET = 10**7
+SUBSET_BUDGET = 10**7  # most subsets enumerate_symmetry_classes will canonicalize
 
 
 @dataclass
@@ -54,9 +57,15 @@ class SurveyRecord:
     patterns: PatternSet
     orbit_size: int
     counts: tuple[int, ...] | None = None  # avoidance counts at lengths 1..N
-    report: ClassificationReport | None = None
     error: str | None = None
     node_budget: int | None = None  # the budget an error was recorded under
+
+    @property
+    def report(self) -> ClassificationReport | None:
+        """The classification of the counts; None without the 4 terms it needs."""
+        if self.counts is None or len(self.counts) < 4:
+            return None
+        return classify(list(self.counts))
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -65,44 +74,35 @@ class SurveyRecord:
         }
         if self.counts is not None:
             out["counts"] = list(self.counts)
-        if self.report is not None:
-            out["verdict"] = self.report.to_json_dict()
+        report = self.report
+        if report is not None:
+            out["verdict"] = report.to_json_dict()
         if self.error is not None:
             out["error"] = self.error
             out["node_budget"] = self.node_budget
         return out
 
 
-def enumerate_symmetry_classes(
-    num_patterns: int,
-    pattern_length: int,
-    *,
-    subset_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> list[SurveyRecord]:
+def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[SurveyRecord]:
     """
     Group all num_patterns-subsets of the length-pattern_length permutations
-    into symmetry classes. Returns one record stub per class (counts not yet
-    filled in), sorted by canonical set; orbit sizes add up to the total
-    number of subsets.
+    into symmetry classes by ``perms.canonicalize_set``. Returns one record
+    stub per class (counts not yet filled in), sorted by canonical set;
+    orbit sizes add up to the total number of subsets. More subsets than
+    SUBSET_BUDGET raise BudgetExceededError.
 
     >>> [r.orbit_size for r in enumerate_symmetry_classes(1, 3)]
     [2, 4]
     """
     universe = sorted(all_perms(pattern_length))
     total = math.comb(len(universe), num_patterns)
-    if total > subset_budget:
+    if total > SUBSET_BUDGET:
         raise BudgetExceededError(
-            f"{total} subsets exceed the survey budget {subset_budget}"
+            f"{total} subsets exceed the survey budget {SUBSET_BUDGET}"
         )
-    # canonicalizing via precomputed per-pattern images: the image of a set
-    # is the sorted tuple of its patterns' images (all the same length here,
-    # so plain tuple order is the length-lex order)
-    images = {p: tuple(apply_symmetry(g, p) for g in SYMMETRIES) for p in universe}
     orbit_counts: dict[PatternSet, int] = {}
     for combo in itertools.combinations(universe, num_patterns):
-        canon = min(
-            tuple(sorted(images[p][gi] for p in combo)) for gi in range(len(SYMMETRIES))
-        )
+        canon = canonicalize_set(combo)
         orbit_counts[canon] = orbit_counts.get(canon, 0) + 1
     return [
         SurveyRecord(patterns=canon, orbit_size=orbit_counts[canon])
@@ -119,25 +119,17 @@ def _check_workers(workers: int) -> None:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _report(counts: tuple[int, ...]) -> ClassificationReport | None:
-    """The classification of a record's counts; None below the 4 terms it needs."""
-    return classify(list(counts)) if len(counts) >= 4 else None
-
-
 def fill_counts(
     records: list[SurveyRecord],
     max_n: int,
     *,
     node_budget: int | None = None,
-    stream: IO[str] | None = None,
-) -> None:
+) -> list[SurveyRecord]:
     """
-    Compute avoidance counts (lengths 1..max_n) for every record in place,
-    classify them, and optionally append each finished record to a JSONL
-    stream. Budget failures are recorded on the record, with the budget,
-    not raised. All records are counted in one ``count_avoiders_many``
-    call; they are classified and written, in record order, once it is
-    done.
+    Compute avoidance counts (lengths 1..max_n) in place for every record
+    that has neither counts nor an error, in one ``count_avoiders_many``
+    call, and return those records in record order. Budget failures are
+    recorded on the record, with the budget, not raised.
     """
     budget = resolve_node_budget(node_budget)
     todo = [r for r in records if r.counts is None and r.error is None]
@@ -148,10 +140,7 @@ def fill_counts(
             record.node_budget = budget
         else:
             record.counts = tuple(result.counts[1:])
-            record.report = _report(record.counts)
-        if stream is not None:
-            stream.write(json.dumps(record.to_json_dict()) + "\n")
-            stream.flush()
+    return todo
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +160,15 @@ class WilfClustering:
         return len(self.clusters)
 
 
-def wilf_survey(
-    records: list[SurveyRecord],
-    max_n: int,
-    *,
-    node_budget: int | None = None,
-    stream: IO[str] | None = None,
-) -> WilfClustering:
+def wilf_survey(records: list[SurveyRecord], max_n: int) -> WilfClustering:
     """
     Count every record up to max_n and cluster them at horizon max_n.
-    Records that blow the node budget are collected under ``failed``
-    instead of aborting the survey.
+    Records that blow the node budget (``PATAVOID_NODE_BUDGET`` or the
+    default) are collected under ``failed`` instead of aborting the survey.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    fill_counts(records, max_n, node_budget=node_budget, stream=stream)
+    fill_counts(records, max_n)
     return cluster_fingerprints(records, max_n)
 
 
@@ -212,17 +195,22 @@ def polynomial_scan(
     """
     The records whose counting sequence matches a polynomial over the whole
     stored range (threshold 0: constant d-th differences from the first
-    counted length on, witnessed by at least d + 3 terms) with degree
-    between 1 and max_degree. Later-threshold fits are deliberately not
-    counted here; they are visible through each record's classify() report.
-    Sorted by degree, then canonical set.
+    counted length on, witnessed by at least d + 3 terms, and never fewer
+    than the 4 terms the detector needs) with degree between 1 and
+    max_degree. Later-threshold fits are deliberately not counted here;
+    they are visible through each record's classify() report. Sorted by
+    degree, then canonical set. A record with fewer than max_n counts
+    raises, as in cluster_fingerprints.
     """
-    if max_n < max_degree + 3:
-        raise ValueError("need max_n >= max_degree + 3 for a confirmed fit")
+    need = max(4, max_degree + 3)
+    if max_n < need:
+        raise ValueError(f"need max_n >= {need} for a confirmed fit of degree up to {max_degree}, got {max_n}")
     found = []
     for record in records:
         if record.counts is None:
             continue
+        if len(record.counts) < max_n:
+            raise ValueError(f"record {record.patterns} has fewer than {max_n} counts")
         counts = list(record.counts[:max_n])
         fit = detect_eventual_polynomial(counts, max_degree)
         if fit is not None and fit.threshold == 0 and 1 <= fit.degree <= max_degree:
@@ -297,15 +285,16 @@ class ExperimentResult:
         }
 
 
-def sample_pattern_subset(seed: int, trial: int, num_patterns: int, pattern_length: int = 4) -> PatternSet:
+def sample_pattern_subset(seed: int, trial: int, num_patterns: int) -> PatternSet:
     """
-    The trial's uniform random pattern subset. Each trial owns a generator
-    seeded seed * 2**32 + trial (so trials are independent of execution
-    order) and draws by partial Fisher-Yates over the sorted pattern list
-    using randrange only, which is stable across python versions.
+    The trial's uniform random subset of the length-4 patterns. Each trial
+    owns a generator seeded seed * 2**32 + trial (so trials are independent
+    of execution order) and draws by partial Fisher-Yates over the sorted
+    pattern list using randrange only, which is stable across python
+    versions.
     """
     rng = random.Random(seed * (2**32) + trial)
-    pool = sorted(all_perms(pattern_length))
+    pool = sorted(all_perms(4))
     if num_patterns > len(pool):
         raise ValueError(f"cannot draw {num_patterns} patterns from {len(pool)}")
     for i in range(num_patterns):
@@ -383,7 +372,6 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
     record = SurveyRecord(patterns=patterns, orbit_size=int(data["orbit"]))
     if "counts" in data:
         record.counts = tuple(int(v) for v in data["counts"])
-        record.report = _report(record.counts)
     if "error" in data:
         record.error = data["error"]
         record.node_budget = data.get("node_budget")
@@ -461,5 +449,7 @@ def run_survey_to_file(
     records = [done.get(record.patterns, record) for record in classes]
     with open(out_path, "a", encoding="utf-8") as fh:
         fh.truncate(complete)
-        fill_counts(records, max_n, node_budget=budget, stream=fh)
+        for record in fill_counts(records, max_n, node_budget=budget):
+            fh.write(json.dumps(record.to_json_dict()) + "\n")
+            fh.flush()
     return records

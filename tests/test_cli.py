@@ -205,6 +205,32 @@ class TestSurveyCommands:
         assert path.read_bytes() == before
 
 
+    def test_polyscan_needs_four_terms(self, capsys, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--out", path]
+        assert run(capsys, *survey, "--max-n", "3")[0] == 0
+        code, out, err = run(capsys, "survey", "polyscan", "--in", path, "--max-degree", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: need max_n >= 4 for a confirmed fit of degree up to 0, got 3\n"
+
+    def test_polyscan_past_the_stored_counts(self, capsys, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--out", path]
+        assert run(capsys, *survey, "--max-n", "8")[0] == 0
+        code, out, err = run(capsys, "survey", "polyscan", "--in", path, "--max-degree", "1", "--max-n", "9")
+        assert (code, out) == (1, "")
+        assert err == "error: record ((1, 2, 3),) has fewer than 9 counts\n"
+
+    @pytest.mark.parametrize("max_degree", ["0", "1"])
+    def test_polyscan_at_four_terms(self, capsys, tmp_path, max_degree):
+        path = str(tmp_path / "s.jsonl")
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--out", path]
+        assert run(capsys, *survey, "--max-n", "4")[0] == 0
+        code, out, err = run(capsys, "survey", "polyscan", "--in", path, "--max-degree", max_degree)
+        assert (code, err) == (0, "")
+        assert out == f"polynomial classes (degree 1..{max_degree}) at horizon 4: 0\n"
+
+
 class TestExperiment:
     def test_json_output(self, capsys):
         code, out, _ = run(
@@ -304,3 +330,70 @@ class TestArtifactRoundTrips:
             "--max-n", "8", "--out", path)
         records = read_survey(path)
         assert [r.patterns for r in records] == [((1, 2, 3),), ((1, 3, 2),)]
+
+
+class TestTextRenderers:
+    """The text and CSV forms, byte for byte."""
+
+    @pytest.mark.parametrize("seq, expected", [
+        ("1,2,6,12,18,26,39,60,94,149,238,382,615", "fib_like threshold=6 a=0 b=-5"),
+        ("1,3,6,10,15,21", "polynomial threshold=0 degree=2 coefficients=['1', '3/2', '1/2']"),
+        ("1,2,0,0,0,0", "zero threshold=2"),
+        ("1,2,4,8,16,32,64", "unclassified"),
+    ])
+    def test_analyze_text(self, capsys, seq, expected):
+        assert run(capsys, "analyze", "--seq", seq, "--emit", "text") == (0, expected + "\n", "")
+
+    @pytest.fixture
+    def survey_file(self, capsys, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        survey = ["survey", "--num-patterns", "3", "--pattern-length", "3", "--max-n", "8", "--out", path]
+        assert run(capsys, *survey)[0] == 0
+        return path
+
+    def test_survey_wilf_text(self, capsys, survey_file):
+        assert run(capsys, "survey", "wilf", "--in", survey_file) == (
+            0, "records: 5  failed: 0  horizon: 8  distinct fingerprints (Wilf lower bound): 3\n", ""
+        )
+
+    def test_survey_polyscan_text(self, capsys, survey_file):
+        code, out, err = run(capsys, "survey", "polyscan", "--in", survey_file, "--max-degree", "4")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "polynomial classes (degree 1..4) at horizon 8: 3",
+            "  degree 1: {123,132,231}",
+            "  degree 1: {123,231,312}",
+            "  degree 1: {132,213,231}",
+        ]
+
+    def test_survey_polyscan_csv(self, capsys, survey_file):
+        code, out, err = run(capsys, "survey", "polyscan", "--in", survey_file, "--max-degree", "4", "--emit", "csv")
+        assert (code, err) == (0, "")
+        assert out == (
+            "patterns,counts,degree\r\n"
+            "123 132 231,1 2 3 4 5 6 7 8,1\r\n"
+            "123 231 312,1 2 3 4 5 6 7 8,1\r\n"
+            "132 213 231,1 2 3 4 5 6 7 8,1\r\n"
+        )
+
+    def test_experiment_text(self, capsys):
+        code, out, err = run(
+            capsys, "experiment", "--num-patterns", "12", "--max-n", "9", "--trials", "10", "--seed", "3"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "10 trials of 12 random patterns, counts to n=9, seed 3:",
+            "  zero                 4  ( 40.0%)",
+            "  constant             1  ( 10.0%)",
+            "  degree_1             1  ( 10.0%)",
+            "  degree_2             0  (  0.0%)",
+            "  degree_3             0  (  0.0%)",
+            "  higher_poly          0  (  0.0%)",
+            "  non_polynomial       4  ( 40.0%)",
+            "  fib-like among non-polynomial: 0/4",
+        ]
+
+    def test_certify_text_with_witness(self, capsys):
+        code, out, err = run(capsys, "template", "certify", "--templates", "45312:10101", "--patterns", "1324")
+        assert (code, err) == (0, "")
+        assert out == "verified: false (bound 10, witness 524361 of length 6 contains 1324)\n"

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patavoid.perms import (
@@ -174,6 +174,17 @@ class TestPatternSets:
             canon = canonicalize_set(sigma)
             for g in SYMMETRIES:
                 assert canonicalize_set(apply_symmetry_to_set(g, sigma)) == canon
+
+    @given(st.lists(
+        st.integers(min_value=0, max_value=5).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple),
+        max_size=6,
+    ))
+    @example([])
+    @example([()])
+    @example([(1,), (), (1,)])
+    @example([(2, 3, 1), (2, 1), (1,)])
+    def test_canonicalize_is_least_orbit_member(self, patterns):
+        assert canonicalize_set(patterns) == symmetry_orbit(patterns)[0]
 
     def test_orbit_sizes_divide_eight(self):
         rng = random.Random(5)

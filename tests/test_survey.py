@@ -47,9 +47,12 @@ class TestSymmetryClasses:
         for r in enumerate_symmetry_classes(2, 3):
             assert canonicalize_set(r.patterns) == r.patterns
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        import patavoid.survey as survey
+
+        monkeypatch.setattr(survey, "SUBSET_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            enumerate_symmetry_classes(4, 4, subset_budget=100)
+            enumerate_symmetry_classes(4, 4)
 
 
 class TestWilfSurvey:
@@ -87,9 +90,10 @@ class TestWilfSurvey:
         assert all(len(r.counts) == max_n and r.report is None for r in records)
         assert sum(len(group) for group in clustering.clusters.values()) == len(records)
 
-    def test_budget_failures_recorded_not_raised(self):
+    def test_budget_failures_recorded_not_raised(self, monkeypatch):
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "30")
         records = enumerate_symmetry_classes(1, 3)
-        clustering = wilf_survey(records, 9, node_budget=30)
+        clustering = wilf_survey(records, 9)
         assert len(clustering.failed) == len(records)
         for record in records:
             assert record.error is not None
