@@ -6,19 +6,16 @@ Draw random 12-subsets of the 24 length-4 patterns, count avoiders to
 n = 13, classify every sequence, and tabulate what comes out. With 12
 forbidden patterns almost everything collapses to a polynomial; the
 leftovers tend to follow drifted Fibonacci recurrences. Everything is
-reproducible from the seed, for any worker count.
+reproducible from the seed.
 
 The published 820-trial campaign is `patavoid reproduce experiment820`;
 this demo runs a shorter one.
 """
-import os
-
 from patavoid import random_experiment
 
-WORKERS = os.cpu_count() or 1
 TRIALS = 120
 
-result = random_experiment(12, 13, TRIALS, seed=42, workers=WORKERS)
+result = random_experiment(12, 13, TRIALS, seed=42)
 print(f"{TRIALS} random 12-pattern sets, counted to n = 13, seed 42:\n")
 for bucket, count in result.bucket_counts.items():
     bar = "#" * round(50 * count / TRIALS)
@@ -38,6 +35,6 @@ for trial in result.results:
         break
 
 # determinism: the same seed always gives the same tallies
-again = random_experiment(12, 13, TRIALS, seed=42, workers=1)
+again = random_experiment(12, 13, TRIALS, seed=42)
 assert again.bucket_counts == result.bucket_counts
-print("\nsame seed, one worker: identical tallies")
+print("\nsame seed, second run: identical tallies")

@@ -150,9 +150,9 @@ def check_fiblike() -> ClaimResult:
     return res
 
 
-def check_experiment820(workers: int = 1, seed: int = 42) -> ClaimResult:
+def check_experiment820(seed: int = 42) -> ClaimResult:
     res = _result("experiment820")
-    exp = random_experiment(12, 13, 820, seed, workers=workers)
+    exp = random_experiment(12, 13, 820, seed)
     fracs = exp.fractions
     for bucket, target in EXPERIMENT_TARGETS.items():
         got = fracs[bucket]
@@ -172,7 +172,7 @@ def check_experiment820(workers: int = 1, seed: int = 42) -> ClaimResult:
     return res
 
 
-# only check_experiment820 takes workers and seed: it alone runs a pool and draws random trials
+# only check_experiment820 takes a seed: it alone draws random trials
 CLAIMS: dict[str, Callable[..., ClaimResult]] = {
     "catalan": check_catalan,
     "table1": check_table1,
@@ -186,7 +186,7 @@ CLAIMS: dict[str, Callable[..., ClaimResult]] = {
 }
 
 
-def run_claim(claim_id: str, *, workers: int = 1, seed: int = 42) -> ClaimResult:
+def run_claim(claim_id: str, *, seed: int = 42) -> ClaimResult:
     try:
         fn = CLAIMS[claim_id]
     except KeyError:
@@ -194,5 +194,5 @@ def run_claim(claim_id: str, *, workers: int = 1, seed: int = 42) -> ClaimResult
             f"unknown claim {claim_id!r}; available: {', '.join(sorted(CLAIMS))}"
         ) from None
     if fn is check_experiment820:
-        return fn(workers, seed)
+        return fn(seed)
     return fn()

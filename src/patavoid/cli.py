@@ -56,12 +56,6 @@ def _parse_seq(text: str) -> list[int]:
     return out
 
 
-def _worker_count(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def build_parser() -> Parser:
     parser = Parser(prog="patavoid", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -113,13 +107,11 @@ def build_parser() -> Parser:
     p_exp.add_argument("--max-n", type=int, required=True)
     p_exp.add_argument("--trials", type=int, required=True)
     p_exp.add_argument("--seed", type=int, default=42)
-    p_exp.add_argument("--workers", type=_worker_count, default=1)
     p_exp.add_argument("--node-budget", type=int, default=None)
     p_exp.add_argument("--emit", choices=["text", "json"], default="text")
 
     p_rep = sub.add_parser("reproduce", help="run a named reproduction check")
     p_rep.add_argument("claim", help=f"one of: {', '.join(sorted(CLAIMS))}")
-    p_rep.add_argument("--workers", type=_worker_count, default=1)
     p_rep.add_argument("--seed", type=int, default=42)
 
     return parser
@@ -310,7 +302,6 @@ def _cmd_experiment(args) -> int:
         args.max_n,
         args.trials,
         args.seed,
-        workers=args.workers,
         node_budget=args.node_budget,
     )
     if args.emit == "json":
@@ -328,7 +319,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = run_claim(args.claim, workers=args.workers, seed=args.seed)
+    result = run_claim(args.claim, seed=args.seed)
     status = "PASS" if result.passed else "FAIL"
     _emit(f"{status} {result.claim}")
     for line in result.lines:

@@ -32,7 +32,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from multiprocessing import get_context
 from typing import Iterable
 
 from .counting import BudgetExceededError, count_avoiders, count_avoiders_many, resolve_node_budget
@@ -110,14 +109,13 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
     ]
 
 
+def _braced(patterns: PatternSet) -> str:
+    return "{" + ",".join(format_pattern_set(patterns)) + "}"
+
+
 # ---------------------------------------------------------------------------
 # Counting the records
 # ---------------------------------------------------------------------------
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
 
 def fill_counts(
     records: list[SurveyRecord],
@@ -174,16 +172,18 @@ def wilf_survey(records: list[SurveyRecord], max_n: int) -> WilfClustering:
 
 def cluster_fingerprints(records: Iterable[SurveyRecord], horizon: int) -> WilfClustering:
     """
-    Group records by fingerprint, their counts at lengths 1..horizon; those
-    without counts go under ``failed``, and one with fewer counts raises.
+    Group records by fingerprint, their counts at lengths 1..horizon (>= 1);
+    those without counts go under ``failed``, and one with fewer counts raises.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     clusters: dict[tuple[int, ...], list[SurveyRecord]] = {}
     failed = []
     for record in records:
         if record.counts is None:
             failed.append(record)
         elif len(record.counts) < horizon:
-            raise ValueError(f"record {record.patterns} has fewer than {horizon} counts")
+            raise ValueError(f"record {_braced(record.patterns)} has fewer than {horizon} counts")
         else:
             clusters.setdefault(tuple(record.counts[:horizon]), []).append(record)
     return WilfClustering(horizon=horizon, clusters=clusters, failed=failed)
@@ -210,7 +210,7 @@ def polynomial_scan(
         if record.counts is None:
             continue
         if len(record.counts) < max_n:
-            raise ValueError(f"record {record.patterns} has fewer than {max_n} counts")
+            raise ValueError(f"record {_braced(record.patterns)} has fewer than {max_n} counts")
         counts = list(record.counts[:max_n])
         fit = detect_eventual_polynomial(counts, max_degree)
         if fit is not None and fit.threshold == 0 and 1 <= fit.degree <= max_degree:
@@ -303,14 +303,6 @@ def sample_pattern_subset(seed: int, trial: int, num_patterns: int) -> PatternSe
     return pattern_set(pool[:num_patterns])
 
 
-def _run_trial(args: tuple[int, int, int, int, int]) -> TrialResult:
-    seed, trial, num_patterns, max_n, budget = args
-    patterns = sample_pattern_subset(seed, trial, num_patterns)
-    seq = count_avoiders(patterns, max_n, node_budget=budget)
-    report = classify(list(seq.counts))
-    return TrialResult(index=trial, patterns=patterns, counts=seq.counts, report=report)
-
-
 def random_experiment(
     num_patterns: int,
     max_n: int,
@@ -324,8 +316,8 @@ def random_experiment(
     Draw ``trials`` random subsets of the length-4 patterns (with
     replacement across trials), count avoiders to max_n, classify each full
     counting sequence, and tabulate the verdict buckets. Trials run in
-    order, serially for one worker or trial, else on a fork pool, so the
-    result is the same for any worker count.
+    order in the calling process. ``workers`` is ignored, and kept only for
+    callers that pass it (``bench/workload.py``).
 
     The drift-recurrence tally over the non-polynomial trials accepts a
     tail of six consecutive recurrence steps (two to solve for the drift,
@@ -337,16 +329,13 @@ def random_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     budget = resolve_node_budget(node_budget)
-    _check_workers(workers)
-    tasks = [(seed, t, num_patterns, max_n, budget) for t in range(trials)]
-    if workers == 1 or trials == 1:
-        results = list(map(_run_trial, tasks))
-    else:
-        with get_context("fork").Pool(workers) as pool:
-            results = list(pool.imap(_run_trial, tasks, chunksize=4))
     bucket_counts = {b: 0 for b in BUCKETS}
-    for r in results:
-        bucket_counts[r.bucket] += 1
+    results = []
+    for trial in range(trials):
+        patterns = sample_pattern_subset(seed, trial, num_patterns)
+        counts = count_avoiders(patterns, max_n, node_budget=budget).counts
+        results.append(TrialResult(trial, patterns, counts, classify(list(counts))))
+        bucket_counts[results[-1].bucket] += 1
     nonpoly = [r.counts for r in results if r.bucket == "non_polynomial"]
     fib_strict = sum(r.report.verdict == "fib_like" for r in results)
     # every strict fit also passes the looser by-eye check
@@ -417,12 +406,10 @@ def run_survey_to_file(
     Enumerate symmetry classes, count each representative to max_n, and
     write the records to out_path as JSON Lines. Classes already in the
     file are skipped and their records merged into the result (resume,
-    under the rules of the module docstring). Errors, including a worker
-    count below 1 and a max_n below 1, are raised before the file is
-    opened or changed. ``workers`` is
+    under the rules of the module docstring). Errors, including a max_n
+    below 1, are raised before the file is opened or changed. ``workers`` is
     ignored, and kept only for callers that pass it (``bench/workload.py``).
     """
-    _check_workers(workers)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     budget = resolve_node_budget(node_budget)
@@ -437,7 +424,7 @@ def run_survey_to_file(
         where = f"{out_path}, line {lineno}"
         if prior.patterns not in wanted:
             raise ValueError(
-                f"{where}: class {{{','.join(format_pattern_set(prior.patterns))}}} is not one of the "
+                f"{where}: class {_braced(prior.patterns)} is not one of the "
                 f"{len(classes)} classes of {num_patterns} patterns of length {pattern_length}"
             )
         if prior.counts is not None and len(prior.counts) != max_n:

@@ -4,15 +4,12 @@ as one test printing a PASS/FAIL line (run with -s to see them). The
 property suites backing the final criterion live in the other test modules
 of this directory.
 """
-import os
 import random
 import time
 
 from patavoid.claims import run_claim
 from patavoid.counting import count_avoiders, count_avoiders_naive, count_avoiders_tree
 from patavoid.perms import all_perms, pattern_set
-
-WORKERS = min(2, os.cpu_count() or 1)
 
 
 class _Line:
@@ -37,7 +34,7 @@ def _claim(criterion, claim_id, time_bound=None):
     """Run one registered claim; it must pass, within the bound if there is one."""
     with _Line(criterion) as line:
         start = time.monotonic()
-        result = run_claim(claim_id, workers=WORKERS, seed=42)
+        result = run_claim(claim_id, seed=42)
         elapsed = time.monotonic() - start
         passed = sum(text.startswith("ok") for text in result.lines)
         line.detail = f"{passed}/{len(result.lines)} checks ok"

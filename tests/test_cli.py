@@ -204,6 +204,14 @@ class TestSurveyCommands:
         assert f"{path}, line 1: class {{123}}" in err
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("horizon", ["-3", "0"])
+    def test_wilf_horizon_below_one_rejected(self, capsys, tmp_path, horizon):
+        path = str(tmp_path / "s.jsonl")
+        survey = ["survey", "--num-patterns", "2", "--pattern-length", "3", "--out", path]
+        assert run(capsys, *survey, "--max-n", "8")[0] == 0
+        code, out, err = run(capsys, "survey", "wilf", "--in", path, "--max-n", horizon)
+        assert (code, out) == (1, "")
+        assert err == f"error: horizon must be >= 1, got {horizon}\n"
 
     def test_polyscan_needs_four_terms(self, capsys, tmp_path):
         path = str(tmp_path / "s.jsonl")
@@ -219,7 +227,7 @@ class TestSurveyCommands:
         assert run(capsys, *survey, "--max-n", "8")[0] == 0
         code, out, err = run(capsys, "survey", "polyscan", "--in", path, "--max-degree", "1", "--max-n", "9")
         assert (code, out) == (1, "")
-        assert err == "error: record ((1, 2, 3),) has fewer than 9 counts\n"
+        assert err == "error: record {123} has fewer than 9 counts\n"
 
     @pytest.mark.parametrize("max_degree", ["0", "1"])
     def test_polyscan_at_four_terms(self, capsys, tmp_path, max_degree):
@@ -282,11 +290,10 @@ class TestParsing:
         ["experiment", "--num-patterns", "12", "--max-n", "8", "--trials", "5"],
         ["reproduce", "fiblike"],
     ])
-    def test_workers_below_one_rejected(self, capsys, command):
-        for workers in ("0", "-2", "two"):
-            code, out, err = run(capsys, *command, "--workers", workers)
-            assert code == 1 and out == ""
-            assert "--workers" in err and ">= 1" in err
+    def test_workers_flag_gone(self, capsys, command):
+        code, out, err = run(capsys, *command, "--workers", "2")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --workers 2" in err
 
     def test_survey_has_no_workers_flag(self, capsys, tmp_path):
         out_path = tmp_path / "s.jsonl"

@@ -1,6 +1,11 @@
+import ctypes
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +176,26 @@ class TestBudget:
             count_avoiders([(1, 3, 2)], 10)
         # explicit argument still wins
         assert count_avoiders([(1, 3, 2)], 6, node_budget=10**6).counts == CATALAN[:7]
+
+
+class TestBlasThreads:
+    def test_import_holds_openblas_to_one_thread(self):
+        # in a fresh interpreter, so that no other import or setting has run first
+        libs = sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas*.so"))
+        if not any(hasattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_") for lib in libs):
+            pytest.skip("numpy has no bundled OpenBLAS exporting scipy_openblas_get_num_threads64_")
+        probe = (
+            "import ctypes, sys, patavoid\n"
+            "for lib in sys.argv[1:]:\n"
+            "    print(ctypes.CDLL(lib).scipy_openblas_get_num_threads64_())\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(counting.__file__).parents[1]), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *map(str, libs)], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1"] * len(libs)
 
 
 class TestCountSequence:

@@ -51,10 +51,10 @@ def test_cli_reproduce_passes():
     assert proc.stdout.startswith("PASS fiblike\n")
 
 
-def test_cli_experiment_same_bytes_on_two_workers():
+def test_cli_experiment_same_bytes_on_two_runs():
     experiment = ["experiment", "--num-patterns", "12", "--max-n", "9", "--trials", "8"]
-    one = run_cli(*experiment, "--workers", "1")
-    two = run_cli(*experiment, "--workers", "2")
+    one = run_cli(*experiment)
+    two = run_cli(*experiment)
     assert (one.returncode, two.returncode) == (0, 0), one.stderr + two.stderr
     assert two.stdout == one.stdout
     assert one.stdout.startswith("8 trials of 12 random patterns, counts to n=9, seed 42:\n")
