@@ -150,9 +150,9 @@ def check_fiblike() -> ClaimResult:
     return res
 
 
-def check_experiment820(seed: int = 42) -> ClaimResult:
+def check_experiment820() -> ClaimResult:
     res = _result("experiment820")
-    exp = random_experiment(12, 13, 820, seed)
+    exp = random_experiment(12, 13, 820, 42)  # the targets are calibrated on seed 42's draw
     fracs = exp.fractions
     for bucket, target in EXPERIMENT_TARGETS.items():
         got = fracs[bucket]
@@ -172,8 +172,7 @@ def check_experiment820(seed: int = 42) -> ClaimResult:
     return res
 
 
-# only check_experiment820 takes a seed: it alone draws random trials
-CLAIMS: dict[str, Callable[..., ClaimResult]] = {
+CLAIMS: dict[str, Callable[[], ClaimResult]] = {
     "catalan": check_catalan,
     "table1": check_table1,
     "sym1524": check_sym1524,
@@ -186,13 +185,11 @@ CLAIMS: dict[str, Callable[..., ClaimResult]] = {
 }
 
 
-def run_claim(claim_id: str, *, seed: int = 42) -> ClaimResult:
+def run_claim(claim_id: str) -> ClaimResult:
     try:
         fn = CLAIMS[claim_id]
     except KeyError:
         raise ValueError(
             f"unknown claim {claim_id!r}; available: {', '.join(sorted(CLAIMS))}"
         ) from None
-    if fn is check_experiment820:
-        return fn(seed)
     return fn()

@@ -2,10 +2,10 @@
 Command-line entry point.
 
 Subcommands: count, template gen, template certify, analyze, survey
-(run / wilf / polyscan), experiment, reproduce. All randomness flows from
---seed; all output is byte-deterministic for a fixed invocation. Exit
-status: 0 success, 1 invalid input or failed reproduction, 2 resource
-budget exhausted.
+(run / wilf / polyscan), experiment, reproduce. experiment draws from
+--seed and reproduce from the paper's seed 42; all output is
+byte-deterministic for a fixed invocation. Exit status: 0 success, 1
+invalid input or failed reproduction, 2 resource budget exhausted.
 """
 from __future__ import annotations
 
@@ -17,12 +17,7 @@ import sys
 from typing import Sequence
 
 from .claims import CLAIMS, run_claim
-from .counting import (
-    BudgetExceededError,
-    count_avoiders,
-    count_avoiders_naive,
-    enumerate_avoiders,
-)
+from .counting import BudgetExceededError, count_avoiders, enumerate_avoiders
 from .perms import format_pattern_set, format_perm, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
@@ -63,7 +58,6 @@ def build_parser() -> Parser:
     p_count = sub.add_parser("count", help="count avoiders of a pattern set")
     p_count.add_argument("--patterns", required=True, help="e.g. 1234,1243,1342,4231")
     p_count.add_argument("--max-n", type=int, required=True)
-    p_count.add_argument("--naive", action="store_true", help="use the n!-filter oracle")
     p_count.add_argument("--emit", choices=["text", "json", "csv"], default="text")
     p_count.add_argument("--from-one", action="store_true", help="drop the length-0 entry")
     p_count.add_argument("--node-budget", type=int, default=None)
@@ -112,7 +106,6 @@ def build_parser() -> Parser:
 
     p_rep = sub.add_parser("reproduce", help="run a named reproduction check")
     p_rep.add_argument("claim", help=f"one of: {', '.join(sorted(CLAIMS))}")
-    p_rep.add_argument("--seed", type=int, default=42)
 
     return parser
 
@@ -124,10 +117,7 @@ def _cmd_count(args) -> int:
         for pi in sorted(members):
             _emit(format_perm(pi))
         return 0
-    if args.naive:
-        seq = count_avoiders_naive(patterns, args.max_n)
-    else:
-        seq = count_avoiders(patterns, args.max_n, node_budget=args.node_budget)
+    seq = count_avoiders(patterns, args.max_n, node_budget=args.node_budget)
     counts = list(seq.counts[1:] if args.from_one else seq.counts)
     if args.emit == "json":
         _emit_json({
@@ -319,7 +309,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    result = run_claim(args.claim, seed=args.seed)
+    result = run_claim(args.claim)
     status = "PASS" if result.passed else "FAIL"
     _emit(f"{status} {result.claim}")
     for line in result.lines:

@@ -26,6 +26,13 @@ states. The gather and order check (``_matches``) is the one vectorized
 containment kernel; ``rows_containing`` reduces its matches to one bit per
 row for the template certificates.
 
+Every counter takes its arguments through one rule, ``_node_budget_for``:
+max_n must be >= 0, and the node budget is the explicit argument, else the
+``PATAVOID_NODE_BUDGET`` environment variable, else 10**8, and never below
+0. A tree whose nodes pass the budget raises BudgetExceededError naming the
+budget and the length where it passed (``_over_budget``), never partial
+counts.
+
 ``count_avoiders_many`` counts many pattern sets at once (a survey's
 classes). Every set's tree is a subtree of the tree of all permutations,
 so the sets share one tree whose rows carry a bitmask of the pattern groups
@@ -59,10 +66,27 @@ class BudgetExceededError(RuntimeError):
 
 
 def resolve_node_budget(node_budget: int | None) -> int:
-    """Explicit argument, else the PATAVOID_NODE_BUDGET env var, else 10**8."""
-    if node_budget is not None:
-        return node_budget
-    return int(os.environ.get(NODE_BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
+    """Explicit argument, else the PATAVOID_NODE_BUDGET env var, else 10**8; never below 0."""
+    if node_budget is None:
+        text = os.environ.get(NODE_BUDGET_ENV_VAR, str(DEFAULT_NODE_BUDGET))
+        try:
+            node_budget = int(text)
+        except ValueError:
+            raise ValueError(f"{NODE_BUDGET_ENV_VAR} must be an integer, got {text!r}") from None
+    if node_budget < 0:
+        raise ValueError(f"node budget must be >= 0, got {node_budget}")
+    return node_budget
+
+
+def _node_budget_for(max_n: int, node_budget: int | None) -> int:
+    """Every counter's argument rule: max_n must be >= 0; returns the resolved node budget."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    return resolve_node_budget(node_budget)
+
+
+def _over_budget(budget: int, n: int) -> BudgetExceededError:
+    return BudgetExceededError(f"insertion tree exceeded node budget {budget} at length {n}")
 
 
 @dataclass(frozen=True)
@@ -256,28 +280,18 @@ def _grow_vector(
     prepped: list[tuple[Perm, int, Perm]],
     max_n: int,
     budget: int,
-) -> Iterator[np.ndarray]:
-    """Yield levels 0..max_n as (count, n) int arrays."""
-    if not avoids((), patterns):
-        for n in range(max_n + 1):
-            yield np.zeros((0, n), dtype=_DTYPE)
-        return
-    level = np.zeros((1, 0), dtype=_DTYPE)
-    nodes = 1
-    yield level
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The counts at lengths 0..max_n, and the length-max_n level as a (count, max_n) int array."""
+    roots = 1 if avoids((), patterns) else 0  # nothing avoids the empty pattern
+    level = np.zeros((roots, 0), dtype=_DTYPE)
+    counts = [roots]
     for n in range(max_n):
-        if level.shape[0] == 0:
-            level = np.zeros((0, n + 1), dtype=_DTYPE)
-            yield level
-            continue
         keep = ~_level_bad_gaps(level, prepped)
-        nodes += int(keep.sum())
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"insertion tree exceeded node budget {budget} at length {n + 1}"
-            )
+        counts.append(int(keep.sum()))
+        if sum(counts) > budget:
+            raise _over_budget(budget, n + 1)
         level = _insert_max(level, keep)
-        yield level
+    return tuple(counts), level
 
 
 # ---------------------------------------------------------------------------
@@ -395,15 +409,6 @@ def _grow_shared(
 # Public API
 # ---------------------------------------------------------------------------
 
-def _levels(
-    patterns: Iterable[Sequence[int]], max_n: int, node_budget: int | None
-) -> tuple[PatternSet, Iterator[np.ndarray]]:
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    sigma, prepped = _prepare(patterns)
-    return sigma, _grow_vector(sigma, prepped, max_n, resolve_node_budget(node_budget))
-
-
 def count_avoiders(
     patterns: Iterable[Sequence[int]],
     max_n: int,
@@ -419,8 +424,9 @@ def count_avoiders(
     >>> count_avoiders([(1,)], 3).counts
     (1, 0, 0, 0)
     """
-    sigma, levels = _levels(patterns, max_n, node_budget)
-    counts = tuple(len(level) for level in levels)
+    budget = _node_budget_for(max_n, node_budget)
+    sigma, prepped = _prepare(patterns)
+    counts, _level = _grow_vector(sigma, prepped, max_n, budget)
     return CountSequence(counts=counts, patterns=sigma)
 
 
@@ -439,9 +445,7 @@ def count_avoiders_many(
     >>> [s.counts for s in count_avoiders_many([[(1, 3, 2)], [(1, 2), (2, 1)]], 4)]
     [(1, 1, 2, 5, 14), (1, 1, 0, 0, 0)]
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    budget = resolve_node_budget(node_budget)
+    budget = _node_budget_for(max_n, node_budget)
     prepared = [_prepare(patterns) for patterns in pattern_sets]
     sigmas = [sigma for sigma, _ in prepared]
     results: list[CountSequence | BudgetExceededError] = [
@@ -463,9 +467,7 @@ def count_avoiders_many(
         counts, failed_at = _grow_shared(groups, set_masks, max_n, budget)
         for place, i in enumerate(tree):
             if failed_at[place]:
-                results[i] = BudgetExceededError(
-                    f"insertion tree exceeded node budget {budget} at length {failed_at[place]}"
-                )
+                results[i] = _over_budget(budget, failed_at[place])
             else:
                 results[i] = CountSequence(counts=tuple(int(c) for c in counts[place]), patterns=sigmas[i])
     return results
@@ -484,11 +486,10 @@ def enumerate_avoiders(
     >>> sorted(enumerate_avoiders([(1, 2)], 3))
     [(3, 2, 1)]
     """
-    _sigma, levels = _levels(patterns, n, node_budget)
-    last = None
-    for last in levels:
-        pass
-    return frozenset(tuple(int(v) for v in row) for row in last)
+    budget = _node_budget_for(n, node_budget)
+    sigma, prepped = _prepare(patterns)
+    _counts, level = _grow_vector(sigma, prepped, n, budget)
+    return frozenset(tuple(int(v) for v in row) for row in level)
 
 
 def count_avoiders_naive(patterns: Iterable[Sequence[int]], max_n: int) -> CountSequence:
@@ -498,8 +499,7 @@ def count_avoiders_naive(patterns: Iterable[Sequence[int]], max_n: int) -> Count
     """
     if max_n > 8:
         raise ValueError(f"naive counting is capped at max_n=8, got {max_n}")
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    _node_budget_for(max_n, None)  # the argument rule; the cap above, not the budget, bounds the work
     sigma = pattern_set(patterns)
     counts = tuple(
         sum(1 for pi in all_perms(n) if avoids(pi, sigma)) for n in range(max_n + 1)
@@ -518,10 +518,8 @@ def count_avoiders_tree(patterns: Iterable[Sequence[int]], max_n: int) -> CountS
     >>> count_avoiders_tree([(1, 3, 2)], 5).counts
     (1, 1, 2, 5, 14, 42)
     """
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
+    budget = _node_budget_for(max_n, None)
     sigma = pattern_set(patterns)
-    budget = resolve_node_budget(None)
     level: list[Perm] = [()] if avoids((), sigma) else []
     counts = [len(level)]
     for n in range(1, max_n + 1):
@@ -529,5 +527,5 @@ def count_avoiders_tree(patterns: Iterable[Sequence[int]], max_n: int) -> CountS
         level = [child for child in children if avoids(child, sigma)]
         counts.append(len(level))
         if sum(counts) > budget:
-            raise BudgetExceededError(f"insertion tree exceeded node budget {budget} at length {n}")
+            raise _over_budget(budget, n)
     return CountSequence(counts=tuple(counts), patterns=sigma)

@@ -93,6 +93,8 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
     >>> [r.orbit_size for r in enumerate_symmetry_classes(1, 3)]
     [2, 4]
     """
+    if num_patterns < 0:
+        raise ValueError(f"num_patterns must be >= 0, got {num_patterns}")
     universe = sorted(all_perms(pattern_length))
     total = math.comb(len(universe), num_patterns)
     if total > SUBSET_BUDGET:
@@ -295,8 +297,8 @@ def sample_pattern_subset(seed: int, trial: int, num_patterns: int) -> PatternSe
     """
     rng = random.Random(seed * (2**32) + trial)
     pool = sorted(all_perms(4))
-    if num_patterns > len(pool):
-        raise ValueError(f"cannot draw {num_patterns} patterns from {len(pool)}")
+    if not 0 <= num_patterns <= len(pool):
+        raise ValueError(f"num_patterns must be in 0..{len(pool)}, got {num_patterns}")
     for i in range(num_patterns):
         j = rng.randrange(i, len(pool))
         pool[i], pool[j] = pool[j], pool[i]
@@ -328,6 +330,8 @@ def random_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_n < 3:
+        raise ValueError(f"max_n must be >= 3 for the 4 terms classify needs, got {max_n}")
     budget = resolve_node_budget(node_budget)
     bucket_counts = {b: 0 for b in BUCKETS}
     results = []

@@ -32,11 +32,6 @@ class TestCount:
         assert code == 0
         assert out.splitlines() == ["n,count", "0,1", "1,1", "2,0", "3,0"]
 
-    def test_naive_flag(self, capsys):
-        code, out, _ = run(capsys, "count", "--patterns", "132", "--max-n", "5", "--naive")
-        assert code == 0
-        assert out.strip() == "1,1,2,5,14,42"
-
     def test_enumerate(self, capsys):
         code, out, _ = run(capsys, "count", "--patterns", "12", "--max-n", "3", "--enumerate")
         assert code == 0
@@ -46,6 +41,15 @@ class TestCount:
         code, _, err = run(capsys, "count", "--patterns", "12345x", "--max-n", "3")
         assert code == 1
         assert "12345x" in err and "position" in err
+
+    def test_negative_budget_rejected(self, capsys):
+        code, out, err = run(capsys, "count", "--patterns", "132", "--max-n", "3", "--node-budget", "-5")
+        assert (code, out, err) == (1, "", "error: node budget must be >= 0, got -5\n")
+
+    def test_non_integer_env_budget_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "abc")
+        code, out, err = run(capsys, "count", "--patterns", "132", "--max-n", "3")
+        assert (code, out, err) == (1, "", "error: PATAVOID_NODE_BUDGET must be an integer, got 'abc'\n")
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
@@ -204,6 +208,12 @@ class TestSurveyCommands:
         assert f"{path}, line 1: class {{123}}" in err
         assert path.read_bytes() == before
 
+    def test_run_negative_num_patterns_rejected(self, capsys, tmp_path):
+        out_path = tmp_path / "s.jsonl"
+        code, out, err = run(capsys, "survey", "--num-patterns", "-1", "--max-n", "6", "--out", str(out_path))
+        assert (code, out, err) == (1, "", "error: num_patterns must be >= 0, got -1\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("horizon", ["-3", "0"])
     def test_wilf_horizon_below_one_rejected(self, capsys, tmp_path, horizon):
         path = str(tmp_path / "s.jsonl")
@@ -251,6 +261,14 @@ class TestExperiment:
         assert data["trials"] == 10 and data["seed"] == 3
         assert sum(data["buckets"].values()) == 10
 
+    def test_negative_num_patterns_rejected(self, capsys):
+        code, out, err = run(capsys, "experiment", "--num-patterns", "-1", "--max-n", "6", "--trials", "2")
+        assert (code, out) == (1, "") and "num_patterns must be in 0..24, got -1" in err
+
+    def test_max_n_below_three_rejected(self, capsys):
+        code, out, err = run(capsys, "experiment", "--num-patterns", "12", "--max-n", "2", "--trials", "2")
+        assert (code, out) == (1, "") and "max_n must be >= 3" in err
+
     def test_determinism(self, capsys):
         args = ["experiment", "--num-patterns", "12", "--max-n", "9",
                 "--trials", "8", "--seed", "7", "--emit", "json"]
@@ -294,6 +312,15 @@ class TestParsing:
         code, out, err = run(capsys, *command, "--workers", "2")
         assert code == 1 and out == ""
         assert "unrecognized arguments: --workers 2" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        (["count", "--patterns", "132", "--max-n", "5", "--naive"], "--naive"),
+        (["reproduce", "fiblike", "--seed", "7"], "--seed 7"),
+    ], ids=["count-naive", "reproduce-seed"])
+    def test_engine_and_seed_flags_gone(self, capsys, command, flag):
+        code, out, err = run(capsys, *command)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
     def test_survey_has_no_workers_flag(self, capsys, tmp_path):
         out_path = tmp_path / "s.jsonl"

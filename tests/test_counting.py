@@ -129,6 +129,20 @@ class TestEnumerate:
             for pi in enumerate_avoiders(sigma, 5):
                 assert avoids(pi, sigma)
 
+    def test_empty_levels_stay_empty(self):
+        assert enumerate_avoiders([(1, 2), (2, 1)], 4) == frozenset()
+        assert enumerate_avoiders([()], 3) == frozenset()
+
+    def test_length_zero(self):
+        assert enumerate_avoiders([(1, 3, 2)], 0) == {()}
+
+    def test_budget_message_matches_count_avoiders(self):
+        with pytest.raises(BudgetExceededError) as counted:
+            count_avoiders([(1, 3, 2)], 10, node_budget=40)
+        with pytest.raises(BudgetExceededError) as listed:
+            enumerate_avoiders([(1, 3, 2)], 10, node_budget=40)
+        assert str(listed.value) == str(counted.value) == "insertion tree exceeded node budget 40 at length 5"
+
     def test_monotone_pruning_soundness(self):
         # deleting the maximum of an avoider yields an avoider one level up
         for sigma in random_pattern_sets(16, 5):
@@ -176,6 +190,35 @@ class TestBudget:
             count_avoiders([(1, 3, 2)], 10)
         # explicit argument still wins
         assert count_avoiders([(1, 3, 2)], 6, node_budget=10**6).counts == CATALAN[:7]
+
+
+    def test_budget_zero_allows_the_root_only(self):
+        assert count_avoiders([(1, 2)], 0, node_budget=0).counts == (1,)
+        with pytest.raises(BudgetExceededError):
+            count_avoiders([(1, 2)], 1, node_budget=0)
+
+    def test_negative_budget_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="node budget must be >= 0, got -5"):
+            count_avoiders([(1, 3, 2)], 3, node_budget=-5)
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "-5")
+        with pytest.raises(ValueError, match="node budget must be >= 0, got -5"):
+            count_avoiders_tree([(1, 3, 2)], 3)
+
+    def test_non_integer_env_budget_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "abc")
+        with pytest.raises(ValueError, match="PATAVOID_NODE_BUDGET must be an integer, got 'abc'"):
+            resolve_node_budget(None)
+
+    @pytest.mark.parametrize("counter", [
+        lambda n: count_avoiders([(1, 2)], n),
+        lambda n: enumerate_avoiders([(1, 2)], n),
+        lambda n: count_avoiders_many([[(1, 2)]], n),
+        lambda n: count_avoiders_tree([(1, 2)], n),
+        lambda n: count_avoiders_naive([(1, 2)], n),
+    ], ids=["count", "enumerate", "many", "tree", "naive"])
+    def test_every_counter_rejects_negative_max_n(self, counter):
+        with pytest.raises(ValueError, match="^max_n must be >= 0$"):
+            counter(-1)
 
 
 class TestBlasThreads:

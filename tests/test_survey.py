@@ -48,6 +48,10 @@ class TestSymmetryClasses:
         for r in enumerate_symmetry_classes(2, 3):
             assert canonicalize_set(r.patterns) == r.patterns
 
+    def test_negative_num_patterns_rejected(self):
+        with pytest.raises(ValueError, match="num_patterns must be >= 0, got -1"):
+            enumerate_symmetry_classes(-1, 4)
+
     def test_budget(self, monkeypatch):
         import patavoid.survey as survey
 
@@ -164,6 +168,20 @@ class TestRandomExperiment:
     def test_trials_precondition(self):
         with pytest.raises(ValueError):
             random_experiment(12, 9, 0, seed=1)
+
+    def test_negative_num_patterns_rejected(self):
+        with pytest.raises(ValueError, match="num_patterns must be in 0..24, got -1"):
+            sample_pattern_subset(3, 0, -1)
+
+    def test_max_n_below_three_rejected_before_counting(self, monkeypatch):
+        import patavoid.survey as survey
+
+        def never(*args, **kwargs):
+            raise AssertionError("counted before the max_n check")
+
+        monkeypatch.setattr(survey, "count_avoiders", never)
+        with pytest.raises(ValueError, match="max_n must be >= 3"):
+            random_experiment(12, 2, 2, seed=1)
 
     def test_bucket_mapping(self):
         assert bucket_of(ClassificationReport(verdict="zero")) == "zero"
