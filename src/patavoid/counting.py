@@ -16,15 +16,18 @@ an embedding, in the parent, of sigma with its maximum deleted, positioned
 so that gap p splits the embedding exactly at the deleted maximum.
 
 ``count_avoiders`` and ``enumerate_avoiders`` process whole tree levels as
-numpy arrays, testing all candidate embeddings of each reduced pattern with
-one gather and one matrix product per pattern. Two independent oracles back
+numpy arrays. Patterns that share a reduced pattern differ only in where
+the maximum was, so ``_plan`` merges them into one check per distinct
+reduced pattern. Each level gathers its entries at every candidate
+embedding once per reduced-pattern length, then runs one order check and
+one matrix product per distinct reduced pattern. Two independent oracles back
 them in the tests: ``count_avoiders_naive`` filters all n! permutations (up
 to n=8), and ``count_avoiders_tree`` grows the same tree one permutation at
 a time, for lengths past that, keeping a child iff ``perms.avoids`` says so.
 That oracle never uses the gap rule above, which ``_gap_matrix`` alone
-states. The gather and order check (``_matches``) is the one vectorized
-containment kernel; ``rows_containing`` reduces its matches to one bit per
-row for the template certificates.
+states. The order check on gathered columns (``_matches``) is the one
+vectorized containment kernel; ``rows_containing`` gathers the same way and
+reduces its matches to one bit per row for the template certificates.
 
 Every counter takes its arguments through one rule, ``_node_budget_for``:
 max_n must be >= 0, and the node budget is the explicit argument, else the
@@ -140,8 +143,9 @@ def _prepare(patterns: Iterable[Sequence[int]]) -> tuple[PatternSet, list[tuple[
 # ---------------------------------------------------------------------------
 
 _DTYPE = np.int16
-# cap on rows * combos * pattern length per _matches call: against 1M, 500k
-# cuts the 820-trial experiment's peak RSS by 3% at no measured cost in time
+# cap on rows * combos * pattern length per chunk, whose k gathered columns
+# are held at once: against 1M, 500k cuts the 820-trial experiment's peak RSS
+# by 3% at no measured cost in time
 _MATCH_CELLS = 500_000
 
 
@@ -172,25 +176,23 @@ def _combo_index(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _gap_matrix(n: int, k: int, m_idx: int) -> np.ndarray:
+def _gap_matrix(n: int, k: int, m_idxs: tuple[int, ...]) -> np.ndarray:
     """
     (C, n+1) float32 matrix: 1 where inserting the new maximum at gap p
-    completes embedding c of a reduced pattern, whose maximum was at
-    ``m_idx``, to an occurrence of the full pattern. The entries before the
-    deleted maximum must land left of p and the rest right of it, so p runs
-    from one past the entry before it to the position of the entry after it
-    (0 and n where there is none).
+    completes embedding c of a reduced pattern to an occurrence of a full
+    pattern whose maximum was at one of the sorted ``m_idxs``. For a maximum
+    at m, the entries before it must land left of p and the rest right of
+    it, so p runs from one past the entry before it to the position of the
+    entry after it (0 and n where there is none).
     """
     combos = _combo_index(n, k)
     c = combos.shape[0]
-    lo = np.zeros(c, dtype=np.int64)
-    hi = np.full(c, n, dtype=np.int64)
-    if m_idx >= 1:
-        lo = combos[:, m_idx - 1] + 1
-    if m_idx < k:
-        hi = combos[:, m_idx]
+    bounds = np.hstack([np.full((c, 1), -1), combos, np.full((c, 1), n)])
+    lo = bounds[:, list(m_idxs)] + 1
+    hi = bounds[:, [m + 1 for m in m_idxs]]
     gaps = np.arange(n + 1)
-    return ((gaps >= lo[:, None]) & (gaps <= hi[:, None])).astype(np.float32)
+    inside = (gaps >= lo[:, :, None]) & (gaps <= hi[:, :, None])
+    return inside.any(axis=1).astype(np.float32)
 
 
 @lru_cache(maxsize=None)
@@ -199,37 +201,48 @@ def _value_order(pattern: Perm) -> tuple[int, ...]:
     return tuple(sorted(range(len(pattern)), key=pattern.__getitem__))
 
 
-def _matches(rows: np.ndarray, combos: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
-    """Boolean (rows, C): each row's entries at combination c rise in ``order``, a pattern's value order."""
+def _plan(entries: Iterable[tuple[Perm, int, Perm]]) -> list[tuple[Perm, tuple[int, ...]]]:
+    """
+    One (reduced, m_idxs) check per distinct reduced pattern of ``_prepare``'s
+    entries, shortest first: patterns that share a reduced pattern differ
+    only in where their maximum was, so one order check serves them all.
+    """
+    m_idxs: dict[Perm, set[int]] = {}
+    for _sigma, m_idx, reduced in entries:
+        m_idxs.setdefault(reduced, set()).add(m_idx)
+    return [(reduced, tuple(sorted(m_idxs[reduced]))) for reduced in sorted(m_idxs, key=lambda r: (len(r), r))]
+
+
+def _matches(cols: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """
+    Boolean (rows, C) from (rows, k, C) gathered ``cols``, the entries of
+    each row at each combination's k positions: those entries rise in
+    ``order``, a pattern's value order.
+    """
     if len(order) == 1:
-        return np.ones((rows.shape[0], combos.shape[0]), dtype=bool)
-    # gather one pattern position at a time: (rows, C) arrays, compared whole
-    above = rows[:, combos[:, order[1]]]
-    match = rows[:, combos[:, order[0]]] < above
-    for b in order[2:]:
-        below, above = above, rows[:, combos[:, b]]
-        match &= below < above
+        return np.ones((cols.shape[0], cols.shape[2]), dtype=bool)
+    match = cols[:, order[0]] < cols[:, order[1]]
+    for below, above in zip(order[1:], order[2:]):
+        match &= cols[:, below] < cols[:, above]
     return match
 
 
-def _level_bad_gaps(level: np.ndarray, prepped: list[tuple[Perm, int, Perm]]) -> np.ndarray:
-    """Boolean (rows, n+1) array of gaps killed by some pattern."""
+def _level_bad_gaps(level: np.ndarray, plan: list[tuple[Perm, tuple[int, ...]]]) -> np.ndarray:
+    """Boolean (rows, n+1) array of gaps killed by some pattern of the ``_plan``."""
     rows, n = level.shape
     bad = np.zeros((rows, n + 1), dtype=bool)
-    for _sigma, m_idx, reduced in prepped:
-        k = len(reduced)
+    for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
         if k > n:
-            continue
+            break
         if k == 0:
             bad[:] = True  # the pattern is a single element; every gap realizes it
             break
         combos = _combo_index(n, k)
-        gaps = _gap_matrix(n, k, m_idx)
-        order = _value_order(reduced)
+        checks = [(_value_order(reduced), _gap_matrix(n, k, m_idxs)) for reduced, m_idxs in same_length]
         chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
         for start in range(0, rows, chunk):
-            match = _matches(level[start:start + chunk], combos, order)
-            hits = match.astype(np.float32) @ gaps
+            cols = level[start:start + chunk, combos.T]
+            hits = sum(_matches(cols, order).astype(np.float32) @ gaps for order, gaps in checks)
             bad[start:start + chunk] |= hits > 0.5
     return bad
 
@@ -251,7 +264,7 @@ def rows_containing(rows: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
     out = np.zeros(count, dtype=bool)
     chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
     for start in range(0, count, chunk):
-        out[start:start + chunk] = _matches(rows[start:start + chunk], combos, order).any(axis=1)
+        out[start:start + chunk] = _matches(rows[start:start + chunk, combos.T], order).any(axis=1)
     return out
 
 
@@ -261,23 +274,23 @@ def _insert_max(parents: np.ndarray, keep: np.ndarray) -> np.ndarray:
     (rows, n+1) ``keep`` marks, gap by gap and, within a gap, in row order.
     """
     n = parents.shape[1]
-    children = np.empty((int(keep.sum()), n + 1), dtype=_DTYPE)
+    sizes = keep.sum(axis=0).tolist()
+    children = np.empty((sum(sizes), n + 1), dtype=_DTYPE)
     out = 0
-    for p in range(n + 1):
-        sel = keep[:, p]
-        m = int(sel.sum())
+    for p, m in enumerate(sizes):
         if m == 0:
             continue
-        children[out:out + m, :p] = parents[sel, :p]
+        chosen = parents[keep[:, p]]
+        children[out:out + m, :p] = chosen[:, :p]
         children[out:out + m, p] = n + 1
-        children[out:out + m, p + 1:] = parents[sel, p:]
+        children[out:out + m, p + 1:] = chosen[:, p:]
         out += m
     return children
 
 
 def _grow_vector(
     patterns: PatternSet,
-    prepped: list[tuple[Perm, int, Perm]],
+    plan: list[tuple[Perm, tuple[int, ...]]],
     max_n: int,
     budget: int,
 ) -> tuple[tuple[int, ...], np.ndarray]:
@@ -286,7 +299,7 @@ def _grow_vector(
     level = np.zeros((roots, 0), dtype=_DTYPE)
     counts = [roots]
     for n in range(max_n):
-        keep = ~_level_bad_gaps(level, prepped)
+        keep = ~_level_bad_gaps(level, plan)
         counts.append(int(keep.sum()))
         if sum(counts) > budget:
             raise _over_budget(budget, n + 1)
@@ -328,18 +341,18 @@ def _pack_trees(sigmas: list[PatternSet], indices: list[int]) -> Iterator[tuple[
 
 
 def _child_masks(
-    block: np.ndarray, masks: np.ndarray, groups: list[list[tuple[Perm, int, Perm]]]
+    block: np.ndarray, masks: np.ndarray, groups: list[list[tuple[Perm, tuple[int, ...]]]]
 ) -> np.ndarray:
     """(rows, n+1) masks of the children of ``block``: the parent's plus the groups each gap kills."""
     out = np.repeat(masks[:, None], block.shape[1] + 1, axis=1)
-    for j, prepped in enumerate(groups):
+    for j, plan in enumerate(groups):
         bit = np.uint64(1 << j)
         clear = (masks & bit) == 0
         if clear.all():
-            out |= _level_bad_gaps(block, prepped) * bit
+            out |= _level_bad_gaps(block, plan) * bit
         elif clear.any():
             live = np.flatnonzero(clear)
-            out[live] |= _level_bad_gaps(block[live], prepped) * bit
+            out[live] |= _level_bad_gaps(block[live], plan) * bit
     return out
 
 
@@ -366,7 +379,7 @@ def _tally(
 
 
 def _grow_shared(
-    groups: list[list[tuple[Perm, int, Perm]]], set_masks: np.ndarray, max_n: int, budget: int
+    groups: list[list[tuple[Perm, tuple[int, ...]]]], set_masks: np.ndarray, max_n: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """
     Counts (sets, max_n+1) of one shared tree, and per set the length at
@@ -425,8 +438,8 @@ def count_avoiders(
     (1, 0, 0, 0)
     """
     budget = _node_budget_for(max_n, node_budget)
-    sigma, prepped = _prepare(patterns)
-    counts, _level = _grow_vector(sigma, prepped, max_n, budget)
+    sigma, entries = _prepare(patterns)
+    counts, _level = _grow_vector(sigma, _plan(entries), max_n, budget)
     return CountSequence(counts=counts, patterns=sigma)
 
 
@@ -464,7 +477,7 @@ def count_avoiders_many(
             [sum(1 << j for owned, j in bit_of.items() if owned >> place & 1) for place in range(len(tree))],
             dtype=np.uint64,
         )
-        counts, failed_at = _grow_shared(groups, set_masks, max_n, budget)
+        counts, failed_at = _grow_shared([_plan(group) for group in groups], set_masks, max_n, budget)
         for place, i in enumerate(tree):
             if failed_at[place]:
                 results[i] = _over_budget(budget, failed_at[place])
@@ -487,8 +500,8 @@ def enumerate_avoiders(
     [(3, 2, 1)]
     """
     budget = _node_budget_for(n, node_budget)
-    sigma, prepped = _prepare(patterns)
-    _counts, level = _grow_vector(sigma, prepped, n, budget)
+    sigma, entries = _prepare(patterns)
+    _counts, level = _grow_vector(sigma, _plan(entries), n, budget)
     return frozenset(tuple(int(v) for v in row) for row in level)
 
 

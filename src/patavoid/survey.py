@@ -95,6 +95,8 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
     """
     if num_patterns < 0:
         raise ValueError(f"num_patterns must be >= 0, got {num_patterns}")
+    if pattern_length < 1:
+        raise ValueError(f"pattern_length must be >= 1, got {pattern_length}")
     universe = sorted(all_perms(pattern_length))
     total = math.comb(len(universe), num_patterns)
     if total > SUBSET_BUDGET:

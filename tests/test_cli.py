@@ -214,6 +214,14 @@ class TestSurveyCommands:
         assert (code, out, err) == (1, "", "error: num_patterns must be >= 0, got -1\n")
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("length", ["-1", "0"])
+    def test_run_pattern_length_below_one_rejected(self, capsys, tmp_path, length):
+        out_path = tmp_path / "s.jsonl"
+        survey = ["survey", "--num-patterns", "2", "--pattern-length", length, "--max-n", "6", "--out", str(out_path)]
+        code, out, err = run(capsys, *survey)
+        assert (code, out, err) == (1, "", f"error: pattern_length must be >= 1, got {length}\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("horizon", ["-3", "0"])
     def test_wilf_horizon_below_one_rejected(self, capsys, tmp_path, horizon):
         path = str(tmp_path / "s.jsonl")

@@ -23,7 +23,8 @@ from patavoid.counting import (
     enumerate_avoiders,
     resolve_node_budget,
 )
-from patavoid.perms import all_perms, apply_symmetry_to_set, contains, flatten, pattern_set
+from patavoid.perms import all_perms, apply_symmetry_to_set, avoids, contains, flatten, pattern_set
+from patavoid.survey import sample_pattern_subset
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
@@ -123,8 +124,6 @@ class TestEnumerate:
             assert len(members) == count_avoiders(sigma, 5).counts[5]
 
     def test_members_are_avoiders(self):
-        from patavoid.perms import avoids
-
         for sigma in random_pattern_sets(15, 5):
             for pi in enumerate_avoiders(sigma, 5):
                 assert avoids(pi, sigma)
@@ -257,6 +256,62 @@ class TestLargeAgreement:
         vec = count_avoiders([(1, 3, 2)], 11).counts
         tree = count_avoiders_tree([(1, 3, 2)], 11).counts
         assert vec == tree == CATALAN[:12]
+
+
+SHARED_123 = [(1, 2, 3, 4), (1, 2, 4, 3), (1, 4, 2, 3), (4, 1, 2, 3)]  # every one reduces to 123
+
+
+def sharing_set(rng):
+    """Random patterns of lengths 1-5, at least two of which share their reduced pattern."""
+    k = rng.randrange(1, 5)
+    reduced = tuple(rng.sample(range(1, k + 1), k))
+    shared = [reduced[:m] + (k + 1,) + reduced[m:] for m in rng.sample(range(k + 1), rng.randrange(2, k + 2))]
+    lengths = rng.choices(range(1, 6), weights=[1, 4, 8, 8, 8], k=rng.randrange(4))
+    return pattern_set(shared + [tuple(rng.sample(range(1, j + 1), j)) for j in lengths])
+
+
+class TestKernel:
+    def test_bad_gaps_match_contains(self):
+        # the rows avoid the set, so a gap is bad iff the child it makes contains a pattern
+        rng = random.Random(20)
+        checked = 0
+        for _ in range(300):
+            sigma = sharing_set(rng)
+            n = rng.randrange(10)
+            rows = [pi for pi in (tuple(rng.sample(range(1, n + 1), n)) for _ in range(30)) if avoids(pi, sigma)][:8]
+            level = np.array(rows, dtype=np.int16).reshape(len(rows), n)
+            bad = counting._level_bad_gaps(level, counting._plan(counting._prepare(sigma)[1]))
+            want = [[any(contains(pi[:p] + (n + 1,) + pi[p:], s) for s in sigma) for p in range(n + 1)] for pi in rows]
+            assert bad.tolist() == want, (sigma, rows)
+            checked += bad.size
+        assert checked > 1000
+
+    def test_one_order_check_per_level_for_a_shared_reduced_pattern(self, monkeypatch):
+        rows_per_call = []
+        real = counting._matches
+
+        def counted(cols, order):
+            rows_per_call.append(cols.shape[0])
+            return real(cols, order)
+
+        monkeypatch.setattr(counting, "_matches", counted)
+        assert count_avoiders(SHARED_123, 8).counts == (1, 1, 2, 6, 20, 70, 252, 924, 3432)
+        assert rows_per_call == [6, 20, 70, 252, 924]  # the levels of length 3..7, one chunk each
+
+    def test_shared_reduced_pattern_matches_tree_oracle(self):
+        # the oracle takes about 3 s to n=9 here, and about 12 s to n=10
+        assert count_avoiders(SHARED_123, 9) == count_avoiders_tree(SHARED_123, 9)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_experiment_sets_match_tree_oracle(self, trial):
+        sigma = sample_pattern_subset(42, trial, 12)
+        assert count_avoiders(sigma, 10) == count_avoiders_tree(sigma, 10)
+
+    def test_many_with_groups_of_one_reduced_pattern(self):
+        # 1234 and 1243 form one group, 1423 and 4123 another; each reduces to 123
+        sets = [SHARED_123, SHARED_123 + [(2, 1, 4, 3)], [(2, 1, 4, 3)], SHARED_123[:2] + [(1, 3, 2)]]
+        for patterns, seq in zip(sets, count_avoiders_many(sets, 10)):
+            assert seq == count_avoiders(patterns, 10), patterns
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ class TestSymmetryClasses:
         with pytest.raises(ValueError, match="num_patterns must be >= 0, got -1"):
             enumerate_symmetry_classes(-1, 4)
 
+    @pytest.mark.parametrize("length", [-1, 0])
+    def test_pattern_length_below_one_rejected(self, length):
+        with pytest.raises(ValueError, match=f"pattern_length must be >= 1, got {length}"):
+            enumerate_symmetry_classes(2, length)
+
     def test_budget(self, monkeypatch):
         import patavoid.survey as survey
 
