@@ -44,7 +44,12 @@ patterns that belong to exactly the same sets). A set counts the rows whose
 mask is disjoint from its own, a subset sum over the histogram of masks, as
 in Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius" (STOC
 2007). The 1524 classes of four length-4 patterns to n=10 grow 28.7M nodes
-as separate trees and 823k rows as one shared tree.
+as separate trees and 823k rows as one shared tree. ``_shared_plan`` merges
+the groups' checks, so each distinct reduced pattern takes one order check
+and one matmul per chunk of rows for every group that holds it, against
+those groups' gap matrices side by side (``_child_masks``). A set can only
+count masks that miss all its bits, so ``_tally`` splits the sets by their
+two lowest mask bits and tests each part against those masks alone.
 """
 from __future__ import annotations
 
@@ -176,23 +181,26 @@ def _combo_index(n: int, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _gap_matrix(n: int, k: int, m_idxs: tuple[int, ...]) -> np.ndarray:
+def _gap_matrix(n: int, k: int, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """
-    (C, n+1) float32 matrix: 1 where inserting the new maximum at gap p
-    completes embedding c of a reduced pattern to an occurrence of a full
-    pattern whose maximum was at one of the sorted ``m_idxs``. For a maximum
-    at m, the entries before it must land left of p and the rest right of
-    it, so p runs from one past the entry before it to the position of the
-    entry after it (0 and n where there is none).
+    (C, J*(n+1)) float32 matrix of J (C, n+1) blocks side by side, one per
+    tuple of sorted maximum positions in ``m_idxs``: 1 where inserting the
+    new maximum at gap p completes embedding c of a reduced pattern to an
+    occurrence of a full pattern whose maximum was at one of that block's
+    positions. For a maximum at m, the entries before it must land left of p
+    and the rest right of it, so p runs from one past the entry before it to
+    the position of the entry after it (0 and n where there is none).
     """
     combos = _combo_index(n, k)
     c = combos.shape[0]
     bounds = np.hstack([np.full((c, 1), -1), combos, np.full((c, 1), n)])
-    lo = bounds[:, list(m_idxs)] + 1
-    hi = bounds[:, [m + 1 for m in m_idxs]]
     gaps = np.arange(n + 1)
-    inside = (gaps >= lo[:, :, None]) & (gaps <= hi[:, :, None])
-    return inside.any(axis=1).astype(np.float32)
+    blocks = []
+    for positions in m_idxs:
+        lo = bounds[:, list(positions)] + 1
+        hi = bounds[:, [m + 1 for m in positions]]
+        blocks.append(((gaps >= lo[:, :, None]) & (gaps <= hi[:, :, None])).any(axis=1))
+    return np.hstack(blocks).astype(np.float32)
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +246,7 @@ def _level_bad_gaps(level: np.ndarray, plan: list[tuple[Perm, tuple[int, ...]]])
             bad[:] = True  # the pattern is a single element; every gap realizes it
             break
         combos = _combo_index(n, k)
-        checks = [(_value_order(reduced), _gap_matrix(n, k, m_idxs)) for reduced, m_idxs in same_length]
+        checks = [(_value_order(reduced), _gap_matrix(n, k, (m_idxs,))) for reduced, m_idxs in same_length]
         chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
         for start in range(0, rows, chunk):
             cols = level[start:start + chunk, combos.T]
@@ -293,8 +301,14 @@ def _grow_vector(
     plan: list[tuple[Perm, tuple[int, ...]]],
     max_n: int,
     budget: int,
-) -> tuple[tuple[int, ...], np.ndarray]:
-    """The counts at lengths 0..max_n, and the length-max_n level as a (count, max_n) int array."""
+    *,
+    with_level: bool,
+) -> tuple[tuple[int, ...], np.ndarray | None]:
+    """
+    The counts at lengths 0..max_n and, if ``with_level``, the length-max_n
+    level as a (count, max_n) int array (else None: counting its rows needs
+    only the kept gaps of the level before it).
+    """
     roots = 1 if avoids((), patterns) else 0  # nothing avoids the empty pattern
     level = np.zeros((roots, 0), dtype=_DTYPE)
     counts = [roots]
@@ -303,8 +317,9 @@ def _grow_vector(
         counts.append(int(keep.sum()))
         if sum(counts) > budget:
             raise _over_budget(budget, n + 1)
-        level = _insert_max(level, keep)
-    return tuple(counts), level
+        if n + 1 < max_n or with_level:
+            level = _insert_max(level, keep)
+    return tuple(counts), level if with_level else None
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +332,9 @@ def _grow_vector(
 _MASK_BITS = 64
 _BLOCK_ROWS = 16_384  # parents grown at once
 _TALLY_CELLS = 1 << 20  # cap on (sets x distinct masks) per disjointness test
+# lowest mask bits by which _tally splits the sets: over the 1524 classes to
+# n=10 it took 0.21 s at 1 bit, 0.14 s at 2 and 0.16-0.20 s at 3
+_PREFIX_BITS = 2
 
 
 def _pack_trees(sigmas: list[PatternSet], indices: list[int]) -> Iterator[tuple[list[int], dict[Perm, int]]]:
@@ -340,19 +358,54 @@ def _pack_trees(sigmas: list[PatternSet], indices: list[int]) -> Iterator[tuple[
         yield tree, owners
 
 
+def _shared_plan(
+    plans: list[list[tuple[Perm, tuple[int, ...]]]],
+) -> list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]:
+    """
+    The groups' ``_plan``s merged into one (reduced, bits, m_idxs) check per
+    distinct reduced pattern, shortest first: the mask bits of the groups
+    whose patterns reduce to it, and each such group's maximum positions.
+    """
+    merged: dict[Perm, list[tuple[int, tuple[int, ...]]]] = {}
+    for j, plan in enumerate(plans):
+        for reduced, m_idxs in plan:
+            merged.setdefault(reduced, []).append((1 << j, m_idxs))
+    return [
+        (reduced, np.array([bit for bit, _ in merged[reduced]], dtype=np.uint64), tuple(m for _, m in merged[reduced]))
+        for reduced in sorted(merged, key=lambda r: (len(r), r))
+    ]
+
+
 def _child_masks(
-    block: np.ndarray, masks: np.ndarray, groups: list[list[tuple[Perm, tuple[int, ...]]]]
+    block: np.ndarray, masks: np.ndarray, plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]
 ) -> np.ndarray:
-    """(rows, n+1) masks of the children of ``block``: the parent's plus the groups each gap kills."""
-    out = np.repeat(masks[:, None], block.shape[1] + 1, axis=1)
-    for j, plan in enumerate(groups):
-        bit = np.uint64(1 << j)
-        clear = (masks & bit) == 0
-        if clear.all():
-            out |= _level_bad_gaps(block, plan) * bit
-        elif clear.any():
-            live = np.flatnonzero(clear)
-            out[live] |= _level_bad_gaps(block[live], plan) * bit
+    """
+    (rows, n+1) masks of the children of ``block``: the parent's plus the
+    bits of the groups each gap kills. Over the ``_shared_plan``, a chunk of
+    rows gathers its columns once per reduced-pattern length, and each
+    distinct reduced pattern takes one order check and one matmul against
+    its groups' gap matrices side by side, whose hits OR in those groups'
+    bits.
+    """
+    rows, n = block.shape
+    out = np.repeat(masks[:, None], n + 1, axis=1)
+    for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
+        if k > n:
+            break
+        if k == 0:
+            for _reduced, bits, _m_idxs in same_length:
+                out |= np.bitwise_or.reduce(bits)  # single-element patterns: every gap realizes them
+            continue
+        combos = _combo_index(n, k)
+        checks = [(_value_order(reduced), bits, _gap_matrix(n, k, m_idxs)) for reduced, bits, m_idxs in same_length]
+        chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
+        for start in range(0, rows, chunk):
+            cols = block[start:start + chunk, combos.T]
+            for order, bits, gaps in checks:
+                hits = _matches(cols, order).astype(np.float32) @ gaps > 0.5
+                hits = hits.reshape(cols.shape[0], len(bits), n + 1)
+                for j, bit in enumerate(bits):
+                    out[start:start + chunk] |= hits[:, j] * bit
     return out
 
 
@@ -362,24 +415,36 @@ def _tally(
     """
     Per set, the rows whose mask is disjoint from the set's, and whether that
     takes its nodes past the budget; per distinct mask, whether a set that
-    stays within budget still counts it.
+    stays within budget still counts it. The sets are split by their lowest
+    ``_PREFIX_BITS`` mask bits, and each part is tested only against the
+    distinct masks that miss those bits, the only ones it can count.
     """
     got = np.zeros(len(set_masks), dtype=np.int64)
     over = np.zeros(len(set_masks), dtype=bool)
     keep = np.zeros(len(distinct), dtype=bool)
-    step = max(1, _TALLY_CELLS // max(1, len(distinct)))
-    for start in range(0, len(set_masks), step):
-        chunk = slice(start, start + step)
-        disjoint = (set_masks[chunk, None] & distinct[None, :]) == 0
-        # exact: every partial sum is an integer below 2**53
-        got[chunk] = np.rint(disjoint.astype(np.float64) @ hist)
-        over[chunk] = nodes[chunk] + got[chunk] > budget
-        keep |= disjoint[~over[chunk]].any(axis=0)
+    prefix, rest = np.zeros_like(set_masks), set_masks.copy()
+    for _ in range(_PREFIX_BITS):
+        low = rest & (~rest + np.uint64(1))  # the lowest bit left, or 0
+        prefix |= low
+        rest ^= low
+    prefixes, part = np.unique(prefix, return_inverse=True)
+    for p, bits in enumerate(prefixes):
+        sets = np.flatnonzero(part == p)
+        countable = np.flatnonzero((distinct & bits) == 0)
+        candidates, weights = distinct[countable], hist[countable]
+        step = max(1, _TALLY_CELLS // max(1, len(countable)))
+        for start in range(0, len(sets), step):
+            chunk = sets[start:start + step]
+            disjoint = (set_masks[chunk, None] & candidates[None, :]) == 0
+            # exact: every partial sum is an integer below 2**53
+            got[chunk] = np.rint(disjoint.astype(np.float64) @ weights)
+            over[chunk] = nodes[chunk] + got[chunk] > budget
+            keep[countable] |= disjoint[~over[chunk]].any(axis=0)
     return got, over, keep
 
 
 def _grow_shared(
-    groups: list[list[tuple[Perm, tuple[int, ...]]]], set_masks: np.ndarray, max_n: int, budget: int
+    plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]], set_masks: np.ndarray, max_n: int, budget: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """
     Counts (sets, max_n+1) of one shared tree, and per set the length at
@@ -397,7 +462,7 @@ def _grow_shared(
         last = n + 1 == max_n
         blocks, pieces = [], []
         for start in range(0, level.shape[0], _BLOCK_ROWS):
-            child = _child_masks(level[start:start + _BLOCK_ROWS], masks[start:start + _BLOCK_ROWS], groups)
+            child = _child_masks(level[start:start + _BLOCK_ROWS], masks[start:start + _BLOCK_ROWS], plan)
             pieces.append(np.unique(child, return_counts=True))
             if not last:
                 blocks.append(child)
@@ -439,7 +504,7 @@ def count_avoiders(
     """
     budget = _node_budget_for(max_n, node_budget)
     sigma, entries = _prepare(patterns)
-    counts, _level = _grow_vector(sigma, _plan(entries), max_n, budget)
+    counts, _ = _grow_vector(sigma, _plan(entries), max_n, budget, with_level=False)
     return CountSequence(counts=counts, patterns=sigma)
 
 
@@ -477,7 +542,8 @@ def count_avoiders_many(
             [sum(1 << j for owned, j in bit_of.items() if owned >> place & 1) for place in range(len(tree))],
             dtype=np.uint64,
         )
-        counts, failed_at = _grow_shared([_plan(group) for group in groups], set_masks, max_n, budget)
+        plan = _shared_plan([_plan(group) for group in groups])
+        counts, failed_at = _grow_shared(plan, set_masks, max_n, budget)
         for place, i in enumerate(tree):
             if failed_at[place]:
                 results[i] = _over_budget(budget, failed_at[place])
@@ -501,7 +567,7 @@ def enumerate_avoiders(
     """
     budget = _node_budget_for(n, node_budget)
     sigma, entries = _prepare(patterns)
-    _counts, level = _grow_vector(sigma, _plan(entries), n, budget)
+    _, level = _grow_vector(sigma, _plan(entries), n, budget, with_level=True)
     return frozenset(tuple(int(v) for v in row) for row in level)
 
 

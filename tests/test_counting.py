@@ -24,7 +24,7 @@ from patavoid.counting import (
     resolve_node_budget,
 )
 from patavoid.perms import all_perms, apply_symmetry_to_set, avoids, contains, flatten, pattern_set
-from patavoid.survey import sample_pattern_subset
+from patavoid.survey import enumerate_symmetry_classes, sample_pattern_subset
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
@@ -312,6 +312,129 @@ class TestKernel:
         sets = [SHARED_123, SHARED_123 + [(2, 1, 4, 3)], [(2, 1, 4, 3)], SHARED_123[:2] + [(1, 3, 2)]]
         for patterns, seq in zip(sets, count_avoiders_many(sets, 10)):
             assert seq == count_avoiders(patterns, 10), patterns
+
+    def test_count_avoiders_builds_no_discarded_level(self, monkeypatch):
+        calls = []
+        real = counting._insert_max
+
+        def counted(parents, keep):
+            calls.append(parents.shape[1])
+            return real(parents, keep)
+
+        monkeypatch.setattr(counting, "_insert_max", counted)
+        for max_n in range(7):
+            calls.clear()
+            assert count_avoiders([(1, 3, 2)], max_n).counts == CATALAN[:max_n + 1]
+            assert calls == list(range(max_n - 1))  # the levels of length 1..max_n-1
+            calls.clear()
+            assert len(enumerate_avoiders([(1, 3, 2)], max_n)) == CATALAN[max_n]
+            assert calls == list(range(max_n))
+
+
+def per_group_masks(block, masks, plans):
+    """The child masks as the shared grower first built them: one ``_level_bad_gaps`` per group, on rows whose bit is clear."""
+    want = np.repeat(masks[:, None], block.shape[1] + 1, axis=1)
+    for j, plan in enumerate(plans):
+        bit = np.uint64(1 << j)
+        clear = (masks & bit) == 0
+        want[clear] |= counting._level_bad_gaps(block[clear], plan) * bit
+    return want
+
+
+def dense_tally(distinct, hist, set_masks, nodes, budget):
+    """``_tally`` as every set against every distinct mask."""
+    disjoint = (set_masks[:, None] & distinct[None, :]) == 0
+    got = np.rint(disjoint.astype(np.float64) @ hist).astype(np.int64)
+    over = nodes + got > budget
+    return got, over, disjoint[~over].any(axis=0)
+
+
+def random_groups(rng):
+    """
+    Up to 64 group plans, most of them empty so that the others sit on high
+    bits; two groups share a reduced pattern, and lengths run from 1 to 5.
+    """
+    k = rng.randrange(0, 4)
+    reduced = tuple(rng.sample(range(1, k + 2), k + 1))
+    slots = rng.sample(range(64), rng.randrange(2, 9))
+    groups = {j: [] for j in slots}
+    for j in slots[:2]:
+        m = rng.randrange(k + 2)
+        groups[j].append(reduced[:m] + (k + 2,) + reduced[m:])
+    for j in slots:
+        for length in rng.choices(range(1, 6), weights=[1, 3, 6, 6, 6], k=rng.randrange(3)):
+            groups[j].append(tuple(rng.sample(range(1, length + 1), length)))
+    return [counting._plan(counting._prepare(groups.get(j, []))[1]) for j in range(max(slots) + 1)]
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("match_cells", [counting._MATCH_CELLS, 60])
+    def test_child_masks_match_per_group_formula(self, monkeypatch, match_cells):
+        # a small _MATCH_CELLS splits the rows into many chunks
+        monkeypatch.setattr(counting, "_MATCH_CELLS", match_cells)
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(200):
+            plans = random_groups(rng)
+            n = rng.randrange(10)
+            block = np.array([rng.sample(range(1, n + 1), n) for _ in range(rng.randrange(1, 30))], dtype=np.int16)
+            live = [j for j, plan in enumerate(plans) if plan]
+            masks = np.array([sum(1 << j for j in live if rng.random() < 0.3) for _ in block], dtype=np.uint64)
+            plan = counting._shared_plan(plans)
+            got = counting._child_masks(block, masks, plan)
+            assert got.tolist() == per_group_masks(block, masks, plans).tolist(), (plans, block, masks)
+            seen |= {len(reduced) for reduced, _bits, _m_idxs in plan}
+            seen.add("shared" if any(len(bits) > 1 for _r, bits, _m in plan) else "alone")
+            seen.add("high bit" if max(live) > 32 else "low bits")
+        assert seen >= {0, 1, 2, 3, 4, "shared", "high bit"}
+
+    @pytest.mark.parametrize("tally_cells", [counting._TALLY_CELLS, 50])
+    def test_tally_matches_dense_formula(self, monkeypatch, tally_cells):
+        # a small _TALLY_CELLS splits each part of the sets into many chunks
+        monkeypatch.setattr(counting, "_TALLY_CELLS", tally_cells)
+        rng = random.Random(22)
+        for case in range(60):
+            places = rng.sample(range(64), rng.randrange(1, 12))  # mostly above bit 32
+            def draw(p):
+                return sum(1 << b for b in places if rng.random() < p)
+            distinct = np.unique(np.array([draw(0.3) for _ in range(0 if case % 10 == 0 else rng.randrange(1, 200))], dtype=np.uint64))
+            hist = np.array([rng.randrange(1, 1000) for _ in distinct], dtype=np.float64)
+            sets = [0, 1 << places[0]] + [draw(rng.random()) for _ in range(rng.randrange(1, 40))]
+            sets += rng.choices(sets, k=5)  # duplicate set masks
+            set_masks = np.array(sets, dtype=np.uint64)
+            nodes = np.array([rng.randrange(100) for _ in sets], dtype=np.int64)
+            budget = rng.randrange(50, 10 * len(distinct) + 200)  # some sets pass it
+            got = counting._tally(distinct, hist, set_masks, nodes, budget)
+            want = dense_tally(distinct, hist, set_masks, nodes, budget)
+            for g, w in zip(got, want):
+                assert g.tolist() == w.tolist(), (distinct, hist, set_masks, nodes, budget)
+
+    def test_one_order_check_per_reduced_pattern_for_all_groups(self, monkeypatch):
+        sets = [sample_pattern_subset(42, trial, 12) for trial in range(10)]
+        assert {p for s in sets for p in s} == set(all_perms(4))
+        per_level = []
+        real_masks, real_matches = counting._child_masks, counting._matches
+
+        def masks_counted(block, masks, plan):
+            assert len(plan) == 6 < sum(len(bits) for _r, bits, _m in plan)  # more groups than checks
+            per_level.append(0)
+            return real_masks(block, masks, plan)
+
+        def matches_counted(cols, order):
+            per_level[-1] += 1
+            return real_matches(cols, order)
+
+        monkeypatch.setattr(counting, "_child_masks", masks_counted)
+        monkeypatch.setattr(counting, "_matches", matches_counted)
+        count_avoiders_many(sets, 7)
+        assert per_level == [0, 0, 0, 6, 6, 6, 6]  # levels of length 0..6, one chunk each
+
+    def test_many_matches_count_avoiders_on_survey_and_experiment_sets(self):
+        classes = [r.patterns for r in enumerate_symmetry_classes(4, 4)][::15]
+        sets = classes[:100] + [sample_pattern_subset(42, trial, 12) for trial in range(20)]
+        assert len(sets) == 120 and all(len(s) == 12 for s in sets[100:])
+        for patterns, seq in zip(sets, count_avoiders_many(sets, 9)):
+            assert seq == count_avoiders(patterns, 9), patterns
 
 
 # ---------------------------------------------------------------------------
