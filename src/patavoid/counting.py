@@ -37,12 +37,13 @@ budget and the length where it passed (``_over_budget``), never partial
 counts.
 
 ``count_avoiders_many`` counts many pattern sets at once (a survey's
-classes). Every set's tree is a subtree of the tree of all permutations,
-so the sets share one tree whose rows carry a bitmask of the pattern groups
+classes). Every set's tree is a subtree of the tree of all permutations, so
+the sets share one tree whose rows carry a bitmask of the pattern groups
 they contain (West's generating trees, with one mask bit per group of
-patterns that belong to exactly the same sets). A set counts the rows whose
-mask is disjoint from its own, a subset sum over the histogram of masks, as
-in Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius" (STOC
+patterns that belong to exactly the same sets, which ``_pack_trees`` alone
+forms, in time linear in the sets). A set counts the rows whose mask is
+disjoint from its own, a subset sum over the histogram of masks, as in
+Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius" (STOC
 2007). The 1524 classes of four length-4 patterns to n=10 grow 28.7M nodes
 as separate trees and 823k rows as one shared tree. ``_shared_plan`` merges
 the groups' checks, so each distinct reduced pattern takes one order check
@@ -309,7 +310,7 @@ def _grow_vector(
     level as a (count, max_n) int array (else None: counting its rows needs
     only the kept gaps of the level before it).
     """
-    roots = 1 if avoids((), patterns) else 0  # nothing avoids the empty pattern
+    roots = 0 if () in patterns else 1  # nothing avoids the empty pattern
     level = np.zeros((roots, 0), dtype=_DTYPE)
     counts = [roots]
     for n in range(max_n):
@@ -337,25 +338,35 @@ _TALLY_CELLS = 1 << 20  # cap on (sets x distinct masks) per disjointness test
 _PREFIX_BITS = 2
 
 
-def _pack_trees(sigmas: list[PatternSet], indices: list[int]) -> Iterator[tuple[list[int], dict[Perm, int]]]:
+def _pack_trees(
+    sigmas: list[PatternSet], indices: list[int]
+) -> Iterator[tuple[list[int], list[list[Perm]], np.ndarray]]:
     """
-    Split ``indices`` greedily, in order, into trees of at most 64 groups.
-    Yields each tree's set indices and, per pattern, the bitmask of the
-    places in the tree of the sets that hold it (equal bitmasks: one group).
+    Split ``indices`` greedily, in order, into trees of at most 64 groups,
+    the patterns held by exactly the same sets. Yields each tree's sets,
+    each group's patterns, and the sets' masks: the OR of ``1 << label``
+    over each set's patterns. As a set joins, a pattern's label becomes the
+    pair (old label, held by it), numbered as the tree first met patterns.
     """
-    tree: list[int] = []
-    owners: dict[Perm, int] = {}
+    trees: list[tuple[list[int], dict[Perm, int]]] = []
     for i in indices:
-        grown = dict(owners)
+        tree, label = trees[-1] if trees else ([], {})
+        held = set(sigmas[i])
+        pairs: dict[tuple[int, bool], int] = {}
+        grown = {p: pairs.setdefault((j, p in held), len(pairs)) for p, j in label.items()}
         for p in sigmas[i]:
-            grown[p] = grown.get(p, 0) | 1 << len(tree)
-        if tree and len(set(grown.values())) > _MASK_BITS:
-            yield tree, owners
-            tree, grown = [], {p: 1 for p in sigmas[i]}
-        tree.append(i)
-        owners = grown
-    if tree:
-        yield tree, owners
+            if p not in grown:  # not setdefault, whose default would number a pair for old patterns too
+                grown[p] = pairs.setdefault((-1, True), len(pairs))
+        if trees and len(pairs) <= _MASK_BITS:
+            tree.append(i)
+            trees[-1] = (tree, grown)
+        else:
+            trees.append(([i], dict.fromkeys(sigmas[i], 0)))
+    for tree, label in trees:
+        groups: list[list[Perm]] = [[] for _ in set(label.values())]
+        for p, j in label.items():
+            groups[j].append(p)
+        yield tree, groups, np.array([sum({1 << label[p] for p in sigmas[i]}) for i in tree], dtype=np.uint64)
 
 
 def _shared_plan(
@@ -518,31 +529,19 @@ def count_avoiders_many(
     For each pattern set in order, what ``count_avoiders`` gives for it: its
     CountSequence, or the BudgetExceededError it would raise (returned, not
     raised). The sets share insertion trees of at most 64 pattern groups
-    each, so related sets cost about one tree, not one tree each.
+    each (``_pack_trees``): related sets cost about one tree, not one each.
 
     >>> [s.counts for s in count_avoiders_many([[(1, 3, 2)], [(1, 2), (2, 1)]], 4)]
     [(1, 1, 2, 5, 14), (1, 1, 0, 0, 0)]
     """
     budget = _node_budget_for(max_n, node_budget)
-    prepared = [_prepare(patterns) for patterns in pattern_sets]
-    sigmas = [sigma for sigma, _ in prepared]
+    sigmas = [pattern_set(patterns) for patterns in pattern_sets]
     results: list[CountSequence | BudgetExceededError] = [
         CountSequence(counts=(0,) * (max_n + 1), patterns=sigma) for sigma in sigmas
     ]
-    rooted = [i for i, sigma in enumerate(sigmas) if avoids((), sigma)]  # the others hold the empty pattern
-    prepped = {entry[0]: entry for _, entries in prepared for entry in entries}
-    for tree, owners in _pack_trees(sigmas, rooted):
-        bit_of: dict[int, int] = {}
-        for owned in owners.values():
-            bit_of.setdefault(owned, len(bit_of))
-        groups: list[list[tuple[Perm, int, Perm]]] = [[] for _ in bit_of]
-        for p, owned in owners.items():
-            groups[bit_of[owned]].append(prepped[p])
-        set_masks = np.array(
-            [sum(1 << j for owned, j in bit_of.items() if owned >> place & 1) for place in range(len(tree))],
-            dtype=np.uint64,
-        )
-        plan = _shared_plan([_plan(group) for group in groups])
+    rooted = [i for i, sigma in enumerate(sigmas) if () not in sigma]  # the others hold the empty pattern
+    for tree, groups, set_masks in _pack_trees(sigmas, rooted):
+        plan = _shared_plan([_plan(_prepare(group)[1]) for group in groups])
         counts, failed_at = _grow_shared(plan, set_masks, max_n, budget)
         for place, i in enumerate(tree):
             if failed_at[place]:

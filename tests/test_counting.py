@@ -431,8 +431,8 @@ class TestSharedKernel:
 
     def test_many_matches_count_avoiders_on_survey_and_experiment_sets(self):
         classes = [r.patterns for r in enumerate_symmetry_classes(4, 4)][::15]
-        sets = classes[:100] + [sample_pattern_subset(42, trial, 12) for trial in range(20)]
-        assert len(sets) == 120 and all(len(s) == 12 for s in sets[100:])
+        sets = classes[:100] + [sample_pattern_subset(42, trial, m) for m in (12, 8) for trial in range(20)]
+        assert len(sets) == 140 and [len(s) for s in sets[100:]] == [12] * 20 + [8] * 20
         for patterns, seq in zip(sets, count_avoiders_many(sets, 9)):
             assert seq == count_avoiders(patterns, 9), patterns
 
@@ -494,7 +494,50 @@ def with_duplicates(sets, picks):
 short_sets = st.lists(st.sampled_from(SHORT), min_size=1, max_size=4)
 
 
+def reference_pack(sigmas, indices):
+    """
+    ``_pack_trees`` by bitmask signatures: a pattern's signature has the bit
+    of each place in the tree of a set that holds it, equal signatures are
+    one group, and the groups are numbered as the tree first meets them.
+    """
+    trees, tree, owners = [], [], {}
+    for i in indices:
+        grown = dict(owners)
+        for p in sigmas[i]:
+            grown[p] = grown.get(p, 0) | 1 << len(tree)
+        if tree and len(set(grown.values())) > 64:
+            trees.append((tree, owners))
+            tree, grown = [], {p: 1 for p in sigmas[i]}
+        tree.append(i)
+        owners = grown
+    if tree:
+        trees.append((tree, owners))
+    packed = []
+    for tree, owners in trees:
+        bit_of = {}
+        for owned in owners.values():
+            bit_of.setdefault(owned, len(bit_of))
+        groups = [[] for _ in bit_of]
+        for p, owned in owners.items():
+            groups[bit_of[owned]].append(p)
+        masks = [sum(1 << j for owned, j in bit_of.items() if owned >> place & 1) for place in range(len(tree))]
+        packed.append((tree, groups, masks))
+    return packed
+
+
 class TestCountAvoidersMany:
+    def test_pack_trees_matches_signature_reference(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(300):
+            pool = rng.sample(SHORT + LENGTH5, rng.choice([6, 24, len(SHORT + LENGTH5)]))
+            sets = [pattern_set(rng.sample(pool, rng.randint(1, 5))) for _ in range(rng.randint(1, 80))]
+            indices = [i for i in range(len(sets)) if rng.random() < 0.9]  # some sets skipped
+            got = [(tree, groups, masks.tolist()) for tree, groups, masks in counting._pack_trees(sets, indices)]
+            assert got == reference_pack(sets, indices), (sets, indices)
+            seen.add(len(got))
+        assert seen == {0, 1, 2}  # every set skipped, one tree, and lists that spill past 64 groups
+
     def test_naive_filter_helper(self):
         for sigma in [(), ((1,),), ((2, 1), (1, 2, 3)), ((1, 3, 2), (1, 2, 3, 4))]:
             assert naive_counts(sigma) == count_avoiders_naive(sigma, 8).counts
