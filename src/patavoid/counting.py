@@ -17,17 +17,21 @@ so that gap p splits the embedding exactly at the deleted maximum.
 
 ``count_avoiders`` and ``enumerate_avoiders`` process whole tree levels as
 numpy arrays. Patterns that share a reduced pattern differ only in where
-the maximum was, so ``_plan`` merges them into one check per distinct
-reduced pattern. Each level gathers its entries at every candidate
-embedding once per reduced-pattern length, then runs one order check and
-one matrix product per distinct reduced pattern. Two independent oracles back
-them in the tests: ``count_avoiders_naive`` filters all n! permutations (up
-to n=8), and ``count_avoiders_tree`` grows the same tree one permutation at
-a time, for lengths past that, keeping a child iff ``perms.avoids`` says so.
+the maximum was, so ``_plan``, the one plan builder, merges them into one
+check per distinct reduced pattern. ``_gathered`` is the one gather and
+chunk loop: each level gathers its entries at every candidate embedding
+once per reduced-pattern length, then runs one order check and one matrix
+product per distinct reduced pattern. Two independent oracles back them in
+the tests: ``count_avoiders_naive`` filters all n! permutations (up to
+n=8), and ``count_avoiders_tree`` grows the same tree one permutation at a
+time, for lengths past that, keeping a child iff ``perms.avoids`` says so.
 That oracle never uses the gap rule above, which ``_gap_matrix`` alone
 states. The order check on gathered columns (``_matches``) is the one
-vectorized containment kernel; ``rows_containing`` gathers the same way and
-reduces its matches to one bit per row for the template certificates.
+vectorized containment kernel; ``rows_containing`` runs it over the same
+loop, one gather per length of a pattern set, and reduces its matches to
+one bit per row for the template certificates. A length-1 pattern needs no
+case of its own: its reduced pattern is empty, with one empty embedding
+that every row matches and every gap completes.
 
 Every counter takes its arguments through one rule, ``_node_budget_for``:
 max_n must be >= 0, and the node budget is the explicit argument, else the
@@ -45,12 +49,13 @@ forms, in time linear in the sets). A set counts the rows whose mask is
 disjoint from its own, a subset sum over the histogram of masks, as in
 Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius" (STOC
 2007). The 1524 classes of four length-4 patterns to n=10 grow 28.7M nodes
-as separate trees and 823k rows as one shared tree. ``_shared_plan`` merges
-the groups' checks, so each distinct reduced pattern takes one order check
-and one matmul per chunk of rows for every group that holds it, against
-those groups' gap matrices side by side (``_child_masks``). A set can only
-count masks that miss all its bits, so ``_tally`` splits the sets by their
-two lowest mask bits and tests each part against those masks alone.
+as separate trees and 823k rows as one shared tree. ``_plan`` over all the
+groups merges their checks, so each distinct reduced pattern takes one
+order check and one matmul per chunk of rows for every group that holds it,
+against those groups' gap matrices side by side (``_child_masks``). A set
+can only count masks that miss all its bits, so ``_tally`` splits the sets
+by their two lowest mask bits and tests each part against those masks
+alone.
 """
 from __future__ import annotations
 
@@ -124,27 +129,6 @@ class CountSequence:
 
 
 # ---------------------------------------------------------------------------
-# Shared preprocessing
-# ---------------------------------------------------------------------------
-
-def _prepare(patterns: Iterable[Sequence[int]]) -> tuple[PatternSet, list[tuple[Perm, int, Perm]]]:
-    """
-    Normalize the pattern set and precompute, for each pattern, the index of
-    its maximum and the pattern with the maximum deleted (already a
-    permutation of 1..l-1 since the maximum is the largest value).
-    """
-    sigma = pattern_set(patterns)
-    prepped = []
-    for s in sigma:
-        if len(s) == 0:
-            continue  # the growers start from no rows: nothing avoids the empty pattern
-        m_idx = s.index(len(s))
-        reduced = s[:m_idx] + s[m_idx + 1:]
-        prepped.append((s, m_idx, reduced))
-    return sigma, prepped
-
-
-# ---------------------------------------------------------------------------
 # Vectorized tree engine
 # ---------------------------------------------------------------------------
 
@@ -210,25 +194,35 @@ def _value_order(pattern: Perm) -> tuple[int, ...]:
     return tuple(sorted(range(len(pattern)), key=pattern.__getitem__))
 
 
-def _plan(entries: Iterable[tuple[Perm, int, Perm]]) -> list[tuple[Perm, tuple[int, ...]]]:
+def _plan(groups: Sequence[Iterable[Perm]]) -> list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]:
     """
-    One (reduced, m_idxs) check per distinct reduced pattern of ``_prepare``'s
-    entries, shortest first: patterns that share a reduced pattern differ
-    only in where their maximum was, so one order check serves them all.
+    One (reduced, bits, m_idxs) check per distinct reduced pattern (a
+    pattern with its maximum deleted) of the pattern ``groups``, shortest
+    first: the uint64 mask bits ``1 << j`` of the groups j holding a pattern
+    that reduces to it, and each such group's sorted maximum positions.
+    Patterns that share a reduced pattern differ only in where their maximum
+    was, so one order check serves them all. The empty pattern has no check:
+    the growers start from no rows when a set holds it.
     """
-    m_idxs: dict[Perm, set[int]] = {}
-    for _sigma, m_idx, reduced in entries:
-        m_idxs.setdefault(reduced, set()).add(m_idx)
-    return [(reduced, tuple(sorted(m_idxs[reduced]))) for reduced in sorted(m_idxs, key=lambda r: (len(r), r))]
+    merged: dict[Perm, dict[int, set[int]]] = {}
+    for j, group in enumerate(groups):
+        for s in group:
+            if s:
+                m_idx = s.index(len(s))
+                merged.setdefault(s[:m_idx] + s[m_idx + 1:], {}).setdefault(j, set()).add(m_idx)
+    return [
+        (reduced, np.array([1 << j for j in by_group], dtype=np.uint64), tuple(tuple(sorted(m)) for m in by_group.values()))
+        for reduced, by_group in sorted(merged.items(), key=lambda item: (len(item[0]), item[0]))
+    ]
 
 
 def _matches(cols: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     """
     Boolean (rows, C) from (rows, k, C) gathered ``cols``, the entries of
     each row at each combination's k positions: those entries rise in
-    ``order``, a pattern's value order.
+    ``order``, a pattern's value order (always, for k <= 1).
     """
-    if len(order) == 1:
+    if len(order) <= 1:
         return np.ones((cols.shape[0], cols.shape[2]), dtype=bool)
     match = cols[:, order[0]] < cols[:, order[1]]
     for below, above in zip(order[1:], order[2:]):
@@ -236,44 +230,54 @@ def _matches(cols: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     return match
 
 
-def _level_bad_gaps(level: np.ndarray, plan: list[tuple[Perm, tuple[int, ...]]]) -> np.ndarray:
-    """Boolean (rows, n+1) array of gaps killed by some pattern of the ``_plan``."""
-    rows, n = level.shape
-    bad = np.zeros((rows, n + 1), dtype=bool)
-    for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
+def _gathered(rows: np.ndarray, checks: list[tuple]) -> Iterator[tuple[int, np.ndarray, list[tuple]]]:
+    """
+    The one gather and chunk loop under every vectorized check. ``checks``
+    lead with a pattern and run shortest first; per run of k-length leading
+    patterns with k <= n, and per chunk of the (count, n) ``rows``, yields
+    (start, cols, that run's checks), where cols is the (chunk, k, C) array
+    of each row's entries at all C k-subsets of positions. A chunk holds at
+    most ``_MATCH_CELLS`` gathered cells, or one row where a row holds more.
+    """
+    count, n = rows.shape
+    for k, same_length in itertools.groupby(checks, key=lambda check: len(check[0])):
         if k > n:
             break
-        if k == 0:
-            bad[:] = True  # the pattern is a single element; every gap realizes it
-            break
         combos = _combo_index(n, k)
-        checks = [(_value_order(reduced), _gap_matrix(n, k, (m_idxs,))) for reduced, m_idxs in same_length]
-        chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
-        for start in range(0, rows, chunk):
-            cols = level[start:start + chunk, combos.T]
-            hits = sum(_matches(cols, order).astype(np.float32) @ gaps for order, gaps in checks)
-            bad[start:start + chunk] |= hits > 0.5
+        same_length = list(same_length)
+        chunk = max(1, _MATCH_CELLS // (combos.shape[0] * max(k, 1)))
+        for start in range(0, count, chunk):
+            yield start, rows[start:start + chunk, combos.T], same_length
+
+
+def _level_bad_gaps(level: np.ndarray, plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]) -> np.ndarray:
+    """Boolean (rows, n+1) array of gaps killed by some pattern of a one-group ``_plan``."""
+    rows, n = level.shape
+    bad = np.zeros((rows, n + 1), dtype=bool)
+    for start, cols, checks in _gathered(level, plan):
+        hits = sum(
+            _matches(cols, _value_order(reduced)).astype(np.float32) @ _gap_matrix(n, len(reduced), m_idxs)
+            for reduced, _bits, m_idxs in checks
+        )
+        bad[start:start + len(cols)] |= hits > 0.5
     return bad
 
 
-def rows_containing(rows: np.ndarray, pattern: Sequence[int]) -> np.ndarray:
+def rows_containing(rows: np.ndarray, patterns: Iterable[Sequence[int]]) -> np.ndarray:
     """
-    Which rows of a (count, n) array of permutations contain ``pattern``:
-    ``perms.contains`` for a whole array at once, on the counting kernel.
+    Which rows of a (count, n) array of permutations contain some pattern of
+    the set: ``perms.avoids`` negated for a whole array at once, on the
+    counting kernel. Patterns of one length share one gather.
 
-    >>> rows_containing(np.array([[1, 3, 2], [3, 2, 1], [2, 1, 3]]), (1, 2)).tolist()
+    >>> rows_containing(np.array([[1, 3, 2], [3, 2, 1], [2, 1, 3]]), [(1, 2)]).tolist()
     [True, False, True]
+    >>> rows_containing(np.array([[1, 3, 2], [3, 2, 1], [2, 1, 3]]), [(2, 1, 3), (3, 2, 1)]).tolist()
+    [False, True, True]
     """
-    count, n = rows.shape
-    k = len(pattern)
-    if k == 0 or k > n:
-        return np.full(count, k == 0)
-    combos = _combo_index(n, k)
-    order = _value_order(tuple(pattern))
-    out = np.zeros(count, dtype=bool)
-    chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
-    for start in range(0, count, chunk):
-        out[start:start + chunk] = _matches(rows[start:start + chunk, combos.T], order).any(axis=1)
+    out = np.zeros(len(rows), dtype=bool)
+    for start, cols, checks in _gathered(rows, [(p,) for p in pattern_set(patterns)]):
+        for (pattern,) in checks:
+            out[start:start + len(cols)] |= _matches(cols, _value_order(pattern)).any(axis=1)
     return out
 
 
@@ -299,7 +303,7 @@ def _insert_max(parents: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 def _grow_vector(
     patterns: PatternSet,
-    plan: list[tuple[Perm, tuple[int, ...]]],
+    plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]],
     max_n: int,
     budget: int,
     *,
@@ -369,54 +373,24 @@ def _pack_trees(
         yield tree, groups, np.array([sum({1 << label[p] for p in sigmas[i]}) for i in tree], dtype=np.uint64)
 
 
-def _shared_plan(
-    plans: list[list[tuple[Perm, tuple[int, ...]]]],
-) -> list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]:
-    """
-    The groups' ``_plan``s merged into one (reduced, bits, m_idxs) check per
-    distinct reduced pattern, shortest first: the mask bits of the groups
-    whose patterns reduce to it, and each such group's maximum positions.
-    """
-    merged: dict[Perm, list[tuple[int, tuple[int, ...]]]] = {}
-    for j, plan in enumerate(plans):
-        for reduced, m_idxs in plan:
-            merged.setdefault(reduced, []).append((1 << j, m_idxs))
-    return [
-        (reduced, np.array([bit for bit, _ in merged[reduced]], dtype=np.uint64), tuple(m for _, m in merged[reduced]))
-        for reduced in sorted(merged, key=lambda r: (len(r), r))
-    ]
-
-
 def _child_masks(
     block: np.ndarray, masks: np.ndarray, plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]
 ) -> np.ndarray:
     """
     (rows, n+1) masks of the children of ``block``: the parent's plus the
-    bits of the groups each gap kills. Over the ``_shared_plan``, a chunk of
-    rows gathers its columns once per reduced-pattern length, and each
-    distinct reduced pattern takes one order check and one matmul against
-    its groups' gap matrices side by side, whose hits OR in those groups'
-    bits.
+    bits of the groups each gap kills. Over the ``_plan`` of all the groups,
+    each distinct reduced pattern takes one order check and one matmul per
+    chunk of rows against its groups' gap matrices side by side, whose hits
+    OR in those groups' bits.
     """
-    rows, n = block.shape
+    n = block.shape[1]
     out = np.repeat(masks[:, None], n + 1, axis=1)
-    for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
-        if k > n:
-            break
-        if k == 0:
-            for _reduced, bits, _m_idxs in same_length:
-                out |= np.bitwise_or.reduce(bits)  # single-element patterns: every gap realizes them
-            continue
-        combos = _combo_index(n, k)
-        checks = [(_value_order(reduced), bits, _gap_matrix(n, k, m_idxs)) for reduced, bits, m_idxs in same_length]
-        chunk = max(1, _MATCH_CELLS // (combos.shape[0] * k))
-        for start in range(0, rows, chunk):
-            cols = block[start:start + chunk, combos.T]
-            for order, bits, gaps in checks:
-                hits = _matches(cols, order).astype(np.float32) @ gaps > 0.5
-                hits = hits.reshape(cols.shape[0], len(bits), n + 1)
-                for j, bit in enumerate(bits):
-                    out[start:start + chunk] |= hits[:, j] * bit
+    for start, cols, checks in _gathered(block, plan):
+        for reduced, bits, m_idxs in checks:
+            hits = _matches(cols, _value_order(reduced)).astype(np.float32) @ _gap_matrix(n, len(reduced), m_idxs) > 0.5
+            hits = hits.reshape(len(cols), len(bits), n + 1)
+            for j, bit in enumerate(bits):
+                out[start:start + len(cols)] |= hits[:, j] * bit
     return out
 
 
@@ -514,8 +488,8 @@ def count_avoiders(
     (1, 0, 0, 0)
     """
     budget = _node_budget_for(max_n, node_budget)
-    sigma, entries = _prepare(patterns)
-    counts, _ = _grow_vector(sigma, _plan(entries), max_n, budget, with_level=False)
+    sigma = pattern_set(patterns)
+    counts, _ = _grow_vector(sigma, _plan([sigma]), max_n, budget, with_level=False)
     return CountSequence(counts=counts, patterns=sigma)
 
 
@@ -541,8 +515,7 @@ def count_avoiders_many(
     ]
     rooted = [i for i, sigma in enumerate(sigmas) if () not in sigma]  # the others hold the empty pattern
     for tree, groups, set_masks in _pack_trees(sigmas, rooted):
-        plan = _shared_plan([_plan(_prepare(group)[1]) for group in groups])
-        counts, failed_at = _grow_shared(plan, set_masks, max_n, budget)
+        counts, failed_at = _grow_shared(_plan(groups), set_masks, max_n, budget)
         for place, i in enumerate(tree):
             if failed_at[place]:
                 results[i] = _over_budget(budget, failed_at[place])
@@ -565,8 +538,8 @@ def enumerate_avoiders(
     [(3, 2, 1)]
     """
     budget = _node_budget_for(n, node_budget)
-    sigma, entries = _prepare(patterns)
-    _, level = _grow_vector(sigma, _plan(entries), n, budget, with_level=True)
+    sigma = pattern_set(patterns)
+    _, level = _grow_vector(sigma, _plan([sigma]), n, budget, with_level=True)
     return frozenset(tuple(int(v) for v in row) for row in level)
 
 

@@ -26,9 +26,9 @@ pattern of length l, then some member of length at most (l-1)(k+1)+1
 already does. Checking the finitely many lengths up to that bound therefore
 proves avoidance for every length at once; ``certify_avoidance`` does
 exactly that and returns the evidence. It checks each length as one array
-of members, one ``counting.rows_containing`` pass per pattern (the gather
-and order check the counting kernel uses), and confirms the member its
-answer ends on with ``perms.contains``.
+of members in one ``counting.rows_containing`` pass over the whole pattern
+set (the gather and order check the counting kernel uses), and confirms the
+member its answer ends on with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
 the process as read-only (members, n) int16 arrays, rows sorted and
@@ -243,8 +243,8 @@ def certify_avoidance(
     """
     Decide whether every member of the template family, of every length,
     avoids every pattern: generate members up to the certification bound
-    and test each length's members, as one array, against each pattern
-    with ``counting.rows_containing``.
+    and test each length's members, as one array, against the whole
+    pattern set in one ``counting.rows_containing`` pass.
 
     >>> certify_avoidance([((1, 2), "11")], [(1, 2)]).verified
     False
@@ -265,20 +265,21 @@ def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tup
     """
     The first member up to max_length (by length, then lexicographic) that
     contains a pattern of sigma, and that pattern; (None, None) if none does.
-    Each length goes through the containment kernel as one array; the
-    scalar ``contains`` confirms the member the answer ends on (the witness,
-    else the last member checked), a tripwire on the kernel.
+    Each length goes through the containment kernel as one array, in one
+    pass for the whole set; the scalar ``contains`` names the witness's
+    pattern (the first of sigma it finds there) and confirms the member the
+    answer ends on (the witness, else the last member checked), a tripwire
+    on the kernel.
     """
     rows = np.zeros((0, 0), dtype=np.int16)
     for m in range(max_length + 1):
         rows = _family_at(tset, m)
-        hits = np.array([rows_containing(rows, s) for s in sigma], dtype=bool)
-        hits = hits.reshape(len(sigma), len(rows))  # (0, members) when sigma is empty
-        found = np.flatnonzero(hits.any(axis=0))
+        found = np.flatnonzero(rows_containing(rows, sigma))
         if found.size:
-            pi, s = tuple(rows[found[0]].tolist()), sigma[int(np.argmax(hits[:, found[0]]))]
-            if not contains(pi, s):
-                raise RuntimeError(f"containment kernel finds {s} in {pi}, perms.contains does not")
+            pi = tuple(rows[found[0]].tolist())
+            s = next((s for s in sigma if contains(pi, s)), None)
+            if s is None:
+                raise RuntimeError(f"containment kernel finds a pattern of {sigma} in {pi}, perms.contains does not")
             return pi, s
     last = tuple(rows[-1].tolist()) if len(rows) else None
     if last is not None and any(contains(last, s) for s in sigma):

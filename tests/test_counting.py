@@ -280,7 +280,7 @@ class TestKernel:
             n = rng.randrange(10)
             rows = [pi for pi in (tuple(rng.sample(range(1, n + 1), n)) for _ in range(30)) if avoids(pi, sigma)][:8]
             level = np.array(rows, dtype=np.int16).reshape(len(rows), n)
-            bad = counting._level_bad_gaps(level, counting._plan(counting._prepare(sigma)[1]))
+            bad = counting._level_bad_gaps(level, counting._plan([sigma]))
             want = [[any(contains(pi[:p] + (n + 1,) + pi[p:], s) for s in sigma) for p in range(n + 1)] for pi in rows]
             assert bad.tolist() == want, (sigma, rows)
             checked += bad.size
@@ -331,13 +331,13 @@ class TestKernel:
             assert calls == list(range(max_n))
 
 
-def per_group_masks(block, masks, plans):
+def per_group_masks(block, masks, groups):
     """The child masks as the shared grower first built them: one ``_level_bad_gaps`` per group, on rows whose bit is clear."""
     want = np.repeat(masks[:, None], block.shape[1] + 1, axis=1)
-    for j, plan in enumerate(plans):
+    for j, group in enumerate(groups):
         bit = np.uint64(1 << j)
         clear = (masks & bit) == 0
-        want[clear] |= counting._level_bad_gaps(block[clear], plan) * bit
+        want[clear] |= counting._level_bad_gaps(block[clear], counting._plan([group])) * bit
     return want
 
 
@@ -351,8 +351,8 @@ def dense_tally(distinct, hist, set_masks, nodes, budget):
 
 def random_groups(rng):
     """
-    Up to 64 group plans, most of them empty so that the others sit on high
-    bits; two groups share a reduced pattern, and lengths run from 1 to 5.
+    Up to 64 pattern groups, most of them empty so that the others sit on
+    high bits; two groups share a reduced pattern, and lengths run from 0 to 5.
     """
     k = rng.randrange(0, 4)
     reduced = tuple(rng.sample(range(1, k + 2), k + 1))
@@ -362,9 +362,45 @@ def random_groups(rng):
         m = rng.randrange(k + 2)
         groups[j].append(reduced[:m] + (k + 2,) + reduced[m:])
     for j in slots:
-        for length in rng.choices(range(1, 6), weights=[1, 3, 6, 6, 6], k=rng.randrange(3)):
+        for length in rng.choices(range(6), weights=[1, 1, 3, 6, 6, 6], k=rng.randrange(3)):
             groups[j].append(tuple(rng.sample(range(1, length + 1), length)))
-    return [counting._plan(counting._prepare(groups.get(j, []))[1]) for j in range(max(slots) + 1)]
+    return [groups.get(j, []) for j in range(max(slots) + 1)]
+
+
+def reference_prepare(patterns):
+    """Per pattern of the set, its maximum's index and the pattern with the maximum deleted (the empty pattern skipped)."""
+    sigma = pattern_set(patterns)
+    prepped = []
+    for s in sigma:
+        if len(s) == 0:
+            continue
+        m_idx = s.index(len(s))
+        prepped.append((s, m_idx, s[:m_idx] + s[m_idx + 1:]))
+    return sigma, prepped
+
+
+def reference_group_plan(entries):
+    """One (reduced, m_idxs) check per distinct reduced pattern of ``reference_prepare``'s entries, shortest first."""
+    m_idxs = {}
+    for _sigma, m_idx, reduced in entries:
+        m_idxs.setdefault(reduced, set()).add(m_idx)
+    return [(reduced, tuple(sorted(m_idxs[reduced]))) for reduced in sorted(m_idxs, key=lambda r: (len(r), r))]
+
+
+def reference_plan(groups):
+    """
+    ``_plan`` in three steps, as the shared tree once built it: each group's
+    patterns prepared and merged into a group plan, then the group plans
+    merged into (reduced, bits, m_idxs) checks, shortest first.
+    """
+    merged = {}
+    for j, group in enumerate(groups):
+        for reduced, m_idxs in reference_group_plan(reference_prepare(group)[1]):
+            merged.setdefault(reduced, []).append((1 << j, m_idxs))
+    return [
+        (reduced, [bit for bit, _ in merged[reduced]], tuple(m for _, m in merged[reduced]))
+        for reduced in sorted(merged, key=lambda r: (len(r), r))
+    ]
 
 
 class TestSharedKernel:
@@ -375,18 +411,33 @@ class TestSharedKernel:
         rng = random.Random(21)
         seen = set()
         for _ in range(200):
-            plans = random_groups(rng)
+            groups = random_groups(rng)
             n = rng.randrange(10)
             block = np.array([rng.sample(range(1, n + 1), n) for _ in range(rng.randrange(1, 30))], dtype=np.int16)
-            live = [j for j, plan in enumerate(plans) if plan]
+            live = [j for j, group in enumerate(groups) if group]
             masks = np.array([sum(1 << j for j in live if rng.random() < 0.3) for _ in block], dtype=np.uint64)
-            plan = counting._shared_plan(plans)
+            plan = counting._plan(groups)
             got = counting._child_masks(block, masks, plan)
-            assert got.tolist() == per_group_masks(block, masks, plans).tolist(), (plans, block, masks)
+            assert got.tolist() == per_group_masks(block, masks, groups).tolist(), (groups, block, masks)
             seen |= {len(reduced) for reduced, _bits, _m_idxs in plan}
             seen.add("shared" if any(len(bits) > 1 for _r, bits, _m in plan) else "alone")
             seen.add("high bit" if max(live) > 32 else "low bits")
         assert seen >= {0, 1, 2, 3, 4, "shared", "high bit"}
+
+    def test_plan_matches_three_step_reference(self):
+        rng = random.Random(24)
+        seen = set()
+        for _ in range(400):
+            groups = random_groups(rng)
+            plan = counting._plan(groups)
+            assert all(bits.dtype == np.uint64 for _r, bits, _m in plan)
+            got = [(reduced, bits.tolist(), m_idxs) for reduced, bits, m_idxs in plan]
+            assert got == reference_plan(groups), groups
+            seen |= {len(reduced) for reduced, _bits, _m_idxs in plan}
+            seen.add("shared" if any(len(bits) > 1 for _r, bits, _m in plan) else "alone")
+            seen.add("empty pattern" if any(() in group for group in groups) else "no empty pattern")
+            seen.add("64 groups" if len(groups) == 64 else "fewer groups")
+        assert seen >= {0, 1, 2, 3, 4, "shared", "empty pattern", "64 groups"}
 
     @pytest.mark.parametrize("tally_cells", [counting._TALLY_CELLS, 50])
     def test_tally_matches_dense_formula(self, monkeypatch, tally_cells):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -287,3 +288,15 @@ class TestWitnessOrder:
     def test_empty_pattern_witness_at_length_zero(self):
         want = scalar_first_witness([T_STACK], [()], 5)
         assert verify_family_avoids([T_STACK], [()], 5) == want[:2] == (False, ())
+
+    def test_kernel_hit_unconfirmed_by_contains_raises(self, monkeypatch):
+        # a kernel that flags every row: the first member, (), holds no 132
+        monkeypatch.setattr("patavoid.templates.rows_containing", lambda rows, patterns: np.ones(len(rows), dtype=bool))
+        with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 3, 2),) in (), perms.contains does not")):
+            certify_avoidance([T_STACK], [(1, 3, 2)])
+
+    def test_clean_scan_unconfirmed_by_contains_raises(self, monkeypatch):
+        # a kernel that flags no row: perms.contains finds 12 in the last member checked
+        monkeypatch.setattr("patavoid.templates.rows_containing", lambda rows, patterns: np.zeros(len(rows), dtype=bool))
+        with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 2),) in (1, 2), the kernel does not")):
+            certify_avoidance([template((1, 2), "11")], [(1, 2)])
