@@ -36,15 +36,14 @@ from .perms import (
     apply_symmetry_to_set,
     avoids,
     canonicalize_set,
-    compose_symmetries,
     contains,
     flatten,
     format_perm,
-    invert_symmetry,
     parse_pattern_list,
     parse_perm,
     pattern_set,
     perm,
+    symmetry_classes,
     symmetry_orbit,
 )
 from .seqanalysis import (
@@ -106,7 +105,6 @@ __all__ = [
     "certification_bound",
     "certify_avoidance",
     "classify",
-    "compose_symmetries",
     "contains",
     "count_avoiders",
     "count_avoiders_many",
@@ -118,7 +116,6 @@ __all__ = [
     "flatten",
     "format_perm",
     "generate_family",
-    "invert_symmetry",
     "parse_pattern_list",
     "parse_perm",
     "parse_template",
@@ -130,6 +127,7 @@ __all__ = [
     "read_survey",
     "run_survey_to_file",
     "sample_pattern_subset",
+    "symmetry_classes",
     "symmetry_orbit",
     "template",
     "template_set",

@@ -93,8 +93,7 @@ def check_wilf1100() -> ClaimResult:
         f"distinct fingerprints at horizon 10: expected in [1100, 1524], got {distinct}",
     )
     if clustering.failed:
-        ok_records = [r for r in records if r.counts is not None]
-        reduced = len({tuple(r.counts[:9]) for r in ok_records})
+        reduced = cluster_fingerprints(records, 9).num_distinct
         res.add(
             reduced >= 1000,
             f"{len(clustering.failed)} records hit the budget; horizon-9 fallback: "

@@ -5,7 +5,8 @@ Subcommands: count, template gen, template certify, analyze, survey
 (run / wilf / polyscan), experiment, reproduce. experiment draws from
 --seed and reproduce from the paper's seed 42; all output is
 byte-deterministic for a fixed invocation. Exit status: 0 success, 1
-invalid input or failed reproduction, 2 resource budget exhausted.
+invalid input, a file that cannot be read or written, or failed
+reproduction, 2 resource budget exhausted.
 """
 from __future__ import annotations
 
@@ -333,7 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "reproduce": _cmd_reproduce,
         }[args.command]
         return handler(args)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except BudgetExceededError as e:

@@ -33,12 +33,12 @@ one bit per row for the template certificates. A length-1 pattern needs no
 case of its own: its reduced pattern is empty, with one empty embedding
 that every row matches and every gap completes.
 
-Every counter takes its arguments through one rule, ``_node_budget_for``:
-max_n must be >= 0, and the node budget is the explicit argument, else the
-``PATAVOID_NODE_BUDGET`` environment variable, else 10**8, and never below
-0. A tree whose nodes pass the budget raises BudgetExceededError naming the
-budget and the length where it passed (``_over_budget``), never partial
-counts.
+Every counter that grows a tree takes its arguments through one rule,
+``_node_budget_for``: max_n must be >= 0, and the node budget is the
+explicit argument, else the ``PATAVOID_NODE_BUDGET`` environment variable,
+else 10**8, and never below 0. A tree whose nodes pass the budget raises
+BudgetExceededError naming the budget and the length where it passed
+(``_over_budget``), never partial counts.
 
 ``count_avoiders_many`` counts many pattern sets at once (a survey's
 classes). Every set's tree is a subtree of the tree of all permutations, so
@@ -546,11 +546,13 @@ def enumerate_avoiders(
 def count_avoiders_naive(patterns: Iterable[Sequence[int]], max_n: int) -> CountSequence:
     """
     Count by filtering all n! permutations. Oracle only: max_n is capped at
-    8 to keep misuse from burning hours.
+    8 to keep misuse from burning hours, and the cap, not a node budget,
+    bounds the work.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     if max_n > 8:
         raise ValueError(f"naive counting is capped at max_n=8, got {max_n}")
-    _node_budget_for(max_n, None)  # the argument rule; the cap above, not the budget, bounds the work
     sigma = pattern_set(patterns)
     counts = tuple(
         sum(1 for pi in all_perms(n) if avoids(pi, sigma)) for n in range(max_n + 1)

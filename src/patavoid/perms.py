@@ -18,7 +18,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
@@ -135,7 +134,6 @@ _SYMMETRY_BITS = {
     "inverse-complement": (1, 0, 1),
     "inverse-reverse-complement": (1, 1, 1),
 }
-_SYMMETRY_NAMES = {bits: name for name, bits in _SYMMETRY_BITS.items()}
 
 SYMMETRIES: tuple[str, ...] = tuple(_SYMMETRY_BITS)
 
@@ -190,33 +188,6 @@ def apply_symmetry(g: str, p: Sequence[int]) -> Perm:
     return q
 
 
-def compose_symmetries(g: str, h: str) -> str:
-    """
-    The symmetry equal to "g after h": applying the result is the same as
-    applying h, then g.
-
-    >>> compose_symmetries("reverse", "reverse")
-    'identity'
-    >>> compose_symmetries("inverse", "reverse")
-    'inverse-reverse'
-    """
-    a1, b1, d1 = _SYMMETRY_BITS[g]
-    a2, b2, d2 = _SYMMETRY_BITS[h]
-    # push reverse/complement bits of g past an inverse of h: transposition
-    # swaps the two flips (reverse . inverse == inverse . complement)
-    if a2:
-        b1, d1 = d1, b1
-    return _SYMMETRY_NAMES[((a1 + a2) % 2, (b1 + b2) % 2, (d1 + d2) % 2)]
-
-
-def invert_symmetry(g: str) -> str:
-    """The symmetry undoing g."""
-    for h in SYMMETRIES:
-        if compose_symmetries(g, h) == "identity":
-            return h
-    raise AssertionError("group element without inverse")  # unreachable
-
-
 # ---------------------------------------------------------------------------
 # Pattern sets and canonical forms
 # ---------------------------------------------------------------------------
@@ -255,28 +226,44 @@ def symmetry_orbit(patterns: Iterable[Sequence[int]]) -> list[PatternSet]:
     return sorted(images, key=pattern_set_key)
 
 
-@lru_cache(maxsize=None)
-def _image_keys(p: Perm) -> tuple[tuple[int, Perm], ...]:
-    """The sort keys of the (validated) pattern's eight symmetry images, in SYMMETRIES order."""
-    p = perm(p)
-    return tuple(_perm_key(apply_symmetry(g, p)) for g in SYMMETRIES)
-
-
 def canonicalize_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
     """
     The canonical representative of the symmetry class of a pattern set:
     the least of its eight symmetry images under the total order. Two sets
     are in the same symmetry class iff their canonical forms are equal.
-    A symmetry maps distinct patterns to distinct patterns, so each image
-    is its patterns' images, sorted; sorting their cached keys sorts it
-    length-lexicographically and orders the images as pattern_set_key does.
 
     >>> canonicalize_set([(2, 3, 1)])
     ((1, 3, 2),)
     """
-    keys = [_image_keys(p) for p in {tuple(p) for p in patterns}]
-    least = min(tuple(sorted(image[g] for image in keys)) for g in range(len(SYMMETRIES)))
-    return tuple(p for _length, p in least)
+    return symmetry_orbit(patterns)[0]
+
+
+def symmetry_classes(num_patterns: int, pattern_length: int) -> Iterator[tuple[PatternSet, int]]:
+    """
+    Every symmetry class of the num_patterns-subsets of the
+    length-pattern_length patterns, as (canonical set, orbit size) pairs in
+    the total order on pattern sets; orbit sizes add up to the number of
+    subsets. The bulk form of canonicalize_set: each symmetry becomes a map
+    on indices into the sorted patterns, and a subset of indices is kept
+    iff no image is less. Patterns of one length sort lexicographically,
+    so index order is the length-lexicographic order and the subsets come
+    out of itertools.combinations already in class order.
+
+    >>> list(symmetry_classes(1, 3))
+    [(((1, 2, 3),), 2), (((1, 3, 2),), 4)]
+    """
+    universe = sorted(all_perms(pattern_length))
+    index = {p: i for i, p in enumerate(universe)}
+    images = [[index[apply_symmetry(g, p)] for p in universe] for g in SYMMETRIES[1:]]
+    for combo in itertools.combinations(range(len(universe)), num_patterns):
+        orbit = {combo}
+        for image in images:
+            other = tuple(sorted(map(image.__getitem__, combo)))
+            if other < combo:
+                break
+            orbit.add(other)
+        else:
+            yield tuple(universe[i] for i in combo), len(orbit)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@ Survey campaigns over pattern sets: symmetry-class enumeration, Wilf
 fingerprint clustering, polynomial scans, and randomized classification
 experiments.
 
-A survey works on one record per symmetry class. The canonical
-representative is the least symmetry image of the set, as
-``perms.canonicalize_set`` computes it; counting one representative covers
-the whole class because the eight symmetries preserve containment and
-hence avoidance counts. A record's verdict is not stored state: its
+A survey works on one record per symmetry class, keyed on the canonical
+representative ``perms.symmetry_classes`` lists for it (``perms`` owns the
+canonical-form rule); counting one representative covers the whole class
+because the eight symmetries preserve containment and hence avoidance
+counts. A record's verdict is not stored state: its
 ``report`` is ``classify`` of its counts, computed when read, and None
 below the 4 terms ``classify`` needs. Fingerprints (the counts at lengths
 1..N) cluster classes that are indistinguishable up to the horizon: equal
@@ -27,7 +27,6 @@ one of the survey's are errors naming the file and line.
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -38,15 +37,15 @@ from .counting import BudgetExceededError, count_avoiders, count_avoiders_many, 
 from .perms import (
     PatternSet,
     all_perms,
-    canonicalize_set,
     format_pattern_set,
     parse_perm,
     pattern_set,
     pattern_set_key,
+    symmetry_classes,
 )
 from .seqanalysis import ClassificationReport, classify, detect_eventual_polynomial, detect_fib_like
 
-SUBSET_BUDGET = 10**7  # most subsets enumerate_symmetry_classes will canonicalize
+SUBSET_BUDGET = 10**7  # most subsets enumerate_symmetry_classes lets perms.symmetry_classes walk
 
 
 @dataclass
@@ -84,10 +83,10 @@ class SurveyRecord:
 
 def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[SurveyRecord]:
     """
-    Group all num_patterns-subsets of the length-pattern_length permutations
-    into symmetry classes by ``perms.canonicalize_set``. Returns one record
-    stub per class (counts not yet filled in), sorted by canonical set;
-    orbit sizes add up to the total number of subsets. More subsets than
+    One record stub (counts not yet filled in) per symmetry class of the
+    num_patterns-subsets of the length-pattern_length permutations, from
+    ``perms.symmetry_classes``: sorted by canonical set, with orbit sizes
+    adding up to the total number of subsets. More subsets than
     SUBSET_BUDGET raise BudgetExceededError.
 
     >>> [r.orbit_size for r in enumerate_symmetry_classes(1, 3)]
@@ -97,19 +96,14 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
         raise ValueError(f"num_patterns must be >= 0, got {num_patterns}")
     if pattern_length < 1:
         raise ValueError(f"pattern_length must be >= 1, got {pattern_length}")
-    universe = sorted(all_perms(pattern_length))
-    total = math.comb(len(universe), num_patterns)
+    total = math.comb(math.factorial(pattern_length), num_patterns)
     if total > SUBSET_BUDGET:
         raise BudgetExceededError(
             f"{total} subsets exceed the survey budget {SUBSET_BUDGET}"
         )
-    orbit_counts: dict[PatternSet, int] = {}
-    for combo in itertools.combinations(universe, num_patterns):
-        canon = canonicalize_set(combo)
-        orbit_counts[canon] = orbit_counts.get(canon, 0) + 1
     return [
-        SurveyRecord(patterns=canon, orbit_size=orbit_counts[canon])
-        for canon in sorted(orbit_counts, key=pattern_set_key)
+        SurveyRecord(patterns=patterns, orbit_size=orbit_size)
+        for patterns, orbit_size in symmetry_classes(num_patterns, pattern_length)
     ]
 
 

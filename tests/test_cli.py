@@ -231,6 +231,20 @@ class TestSurveyCommands:
         assert (code, out) == (1, "")
         assert err == f"error: horizon must be >= 1, got {horizon}\n"
 
+    @pytest.mark.parametrize("command", ["wilf", "polyscan"])
+    def test_missing_input_file(self, capsys, tmp_path, command):
+        path = str(tmp_path / "missing.jsonl")
+        code, out, err = run(capsys, "survey", command, "--in", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and path in err
+
+    def test_output_path_is_a_directory(self, capsys, tmp_path):
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "4", "--out", str(tmp_path)]
+        code, out, err = run(capsys, *survey)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_polyscan_needs_four_terms(self, capsys, tmp_path):
         path = str(tmp_path / "s.jsonl")
         survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--out", path]

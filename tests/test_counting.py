@@ -81,6 +81,12 @@ class TestNaiveOracle:
         with pytest.raises(ValueError):
             count_avoiders_naive([(1, 3, 2)], 9)
 
+    @pytest.mark.parametrize("env_budget", ["abc", "-1"])
+    def test_ignores_the_node_budget(self, monkeypatch, env_budget):
+        # the counters that grow a tree reject these values; the oracle reads no budget
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", env_budget)
+        assert count_avoiders_naive([(1, 3, 2)], 5).counts == (1, 1, 2, 5, 14, 42)
+
     def test_monotone_pair_dies_out(self):
         counts = count_avoiders_naive([(3, 2, 1), (1, 2, 3)], 8).counts
         assert counts[4] > 0

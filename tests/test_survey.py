@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import multiprocessing.pool
@@ -6,8 +8,9 @@ import re
 
 import pytest
 
+from patavoid import claims
 from patavoid.counting import BudgetExceededError, count_avoiders
-from patavoid.perms import all_perms, pattern_set, symmetry_orbit
+from patavoid.perms import SYMMETRIES, all_perms, apply_symmetry, canonicalize_set, pattern_set, symmetry_orbit
 from patavoid.seqanalysis import ClassificationReport
 from patavoid.survey import (
     SurveyRecord,
@@ -20,6 +23,29 @@ from patavoid.survey import (
     sample_pattern_subset,
     wilf_survey,
 )
+
+
+def burnside_class_count(num_patterns, pattern_length):
+    """
+    The number of symmetry classes by Burnside's lemma: (1/8) times the sum
+    over the symmetries g of [x^m] of the product over the cycles of g on
+    the length-pattern_length patterns of (1 + x^cycle length).
+    """
+    total = 0
+    for g in SYMMETRIES:
+        poly = [1]
+        unseen = set(all_perms(pattern_length))
+        while unseen:
+            start = unseen.pop()
+            length, p = 1, apply_symmetry(g, start)
+            while p != start:
+                unseen.remove(p)
+                length, p = length + 1, apply_symmetry(g, p)
+            padded = poly + [0] * length
+            poly = [c + (padded[i - length] if i >= length else 0) for i, c in enumerate(padded)]
+        total += poly[num_patterns] if num_patterns < len(poly) else 0
+    assert total % 8 == 0
+    return total // 8
 
 
 class TestSymmetryClasses:
@@ -43,10 +69,33 @@ class TestSymmetryClasses:
             assert r.orbit_size == len(symmetry_orbit(r.patterns))
 
     def test_canonical_forms_are_canonical(self):
-        from patavoid.perms import canonicalize_set
-
         for r in enumerate_symmetry_classes(2, 3):
             assert canonicalize_set(r.patterns) == r.patterns
+
+    def test_canonical_forms_agree_with_the_classes(self):
+        # every subset of the patterns of length <= 3, and seeded random
+        # subsets of the length-4 patterns: canonicalize_set lands on a class
+        # whose orbit size is the subset's own
+        rng = random.Random(18)
+        pool = sorted(all_perms(4))
+        cases = [
+            (m, k, list(itertools.combinations(all_perms(k), m)))
+            for k in (1, 2, 3) for m in range(math.factorial(k) + 1)
+        ]
+        cases += [(m, 4, [rng.sample(pool, m) for _ in range(20)]) for m in range(1, 9)]
+        for m, k, subsets in cases:
+            classes = {r.patterns: r.orbit_size for r in enumerate_symmetry_classes(m, k)}
+            for subset in subsets:
+                assert classes.get(canonicalize_set(subset)) == len(symmetry_orbit(subset)), subset
+
+    @pytest.mark.parametrize("m, k", [(m, k) for k in (1, 2, 3) for m in range(math.factorial(k) + 1)]
+                             + [(m, 4) for m in range(6)])
+    def test_class_counts_match_burnside(self, m, k):
+        assert len(enumerate_symmetry_classes(m, k)) == burnside_class_count(m, k)
+
+    def test_burnside_counts_for_length_four(self):
+        counts = [burnside_class_count(m, 4) for m in range(4, 13)]
+        assert counts == [1524, 5733, 17728, 44767, 94427, 166786, 249624, 316950, 343424]
 
     def test_negative_num_patterns_rejected(self):
         with pytest.raises(ValueError, match="num_patterns must be >= 0, got -1"):
@@ -63,6 +112,23 @@ class TestSymmetryClasses:
         monkeypatch.setattr(survey, "SUBSET_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
             enumerate_symmetry_classes(4, 4)
+
+
+class TestWilfClaimFallback:
+    # only budget failures reach the horizon-9 fallback, so the survey's
+    # records are copied and some of them stripped of their counts
+    @pytest.mark.parametrize("stripped, status", [(10, "ok"), (600, "FAIL")])
+    def test_horizon_nine_fallback(self, monkeypatch, stripped, status):
+        records = [dataclasses.replace(r) for r in claims._survey_4x4()]
+        for record in records[:stripped]:
+            record.counts, record.error = None, "budget exhausted"
+        monkeypatch.setattr(claims, "_survey_4x4", lambda: tuple(records))
+        distinct = len({r.counts[:9] for r in records if r.counts is not None})
+        result = claims.check_wilf1100()
+        assert result.lines[-1] == (
+            f"{status:<4} {stripped} records hit the budget; "
+            f"horizon-9 fallback: expected >= 1000 distinct, got {distinct}"
+        )
 
 
 class TestWilfSurvey:
