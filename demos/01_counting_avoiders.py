@@ -23,7 +23,7 @@ print("pi contains 1432?     ->", contains(pi, (1, 4, 3, 2)))
 # single pattern 132: the counts are the Catalan numbers
 catalan = count_avoiders([(1, 3, 2)], 12)
 print("\n|Av_n(132)| for n = 0..12:")
-print(" ", ",".join(str(c) for c in catalan))
+print(" ", ",".join(str(c) for c in catalan.counts))
 
 # the length-3 avoiders themselves
 print("\nAv_3(132) =", sorted(enumerate_avoiders([(1, 3, 2)], 3)))

@@ -85,20 +85,11 @@ def _survey_4x4() -> tuple:
 
 def check_wilf1100() -> ClaimResult:
     res = _result("wilf1100")
-    records = _survey_4x4()
-    clustering = cluster_fingerprints(records, 10)
-    distinct = clustering.num_distinct
+    distinct = cluster_fingerprints(_survey_4x4(), 10).num_distinct
     res.add(
         1100 <= distinct <= 1524,
         f"distinct fingerprints at horizon 10: expected in [1100, 1524], got {distinct}",
     )
-    if clustering.failed:
-        reduced = cluster_fingerprints(records, 9).num_distinct
-        res.add(
-            reduced >= 1000,
-            f"{len(clustering.failed)} records hit the budget; horizon-9 fallback: "
-            f"expected >= 1000 distinct, got {reduced}",
-        )
     return res
 
 

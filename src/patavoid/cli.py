@@ -5,8 +5,8 @@ Subcommands: count, template gen, template certify, analyze, survey
 (run / wilf / polyscan), experiment, reproduce. experiment draws from
 --seed and reproduce from the paper's seed 42; all output is
 byte-deterministic for a fixed invocation. Exit status: 0 success, 1
-invalid input, a file that cannot be read or written, or failed
-reproduction, 2 resource budget exhausted.
+invalid input, a file that cannot be read or written, a closed stdout
+(quietly), or failed reproduction, 2 resource budget exhausted.
 """
 from __future__ import annotations
 
@@ -14,11 +14,12 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from typing import Sequence
 
 from .claims import CLAIMS, run_claim
-from .counting import BudgetExceededError, count_avoiders, enumerate_avoiders
+from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, count_avoiders, enumerate_avoiders
 from .perms import format_pattern_set, format_perm, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
@@ -28,6 +29,14 @@ from .templates import _family_at, certify_avoidance, parse_template_list
 class Parser(argparse.ArgumentParser):
     def error(self, message):  # keep argparse from sys.exit(2) on bad flags
         raise ValueError(message)
+
+
+class _RunOnly(argparse.Action):
+    """Stores a survey run's flag and notes it was given, for wilf and polyscan to refuse."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.run_flags = [*getattr(namespace, "run_flags", []), self.option_strings[0]]
 
 
 def _emit(text: str) -> None:
@@ -61,7 +70,7 @@ def build_parser() -> Parser:
     p_count.add_argument("--max-n", type=int, required=True)
     p_count.add_argument("--emit", choices=["text", "json", "csv"], default="text")
     p_count.add_argument("--from-one", action="store_true", help="drop the length-0 entry")
-    p_count.add_argument("--node-budget", type=int, default=None)
+    p_count.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_count.add_argument("--enumerate", action="store_true", help="list the avoiders of length max-n")
 
     p_template = sub.add_parser("template", help="template family operations")
@@ -81,20 +90,24 @@ def build_parser() -> Parser:
     p_analyze.add_argument("--emit", choices=["text", "json"], default="json")
 
     p_survey = sub.add_parser("survey", help="symmetry-class survey campaigns")
-    p_survey.add_argument("--num-patterns", type=int, default=4)
-    p_survey.add_argument("--pattern-length", type=int, default=4)
-    p_survey.add_argument("--max-n", type=int, default=10)
-    p_survey.add_argument("--out", default=None, help="JSONL output (resumable)")
-    p_survey.add_argument("--node-budget", type=int, default=None)
+    p_survey.add_argument("--num-patterns", type=int, default=4, action=_RunOnly)
+    p_survey.add_argument("--pattern-length", type=int, default=4, action=_RunOnly)
+    # one horizon on either side of wilf/polyscan: the subcommands' --max-n
+    # sets it only when given, so their default never overwrites this one
+    p_survey.add_argument(
+        "--max-n", type=int, default=None, help="horizon (default: 10 for a run, the full stored counts for wilf/polyscan)"
+    )
+    p_survey.add_argument("--out", default=None, action=_RunOnly, help="JSONL output (resumable)")
+    p_survey.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET, action=_RunOnly)
     ssub = p_survey.add_subparsers(dest="survey_cmd", metavar="SUBCOMMAND")
     p_wilf = ssub.add_parser("wilf", help="fingerprint clustering of a finished survey")
     p_wilf.add_argument("--in", dest="infile", required=True)
-    p_wilf.add_argument("--max-n", type=int, default=None, help="horizon (default: full stored counts)")
+    p_wilf.add_argument("--max-n", type=int, default=argparse.SUPPRESS, help="horizon (default: full stored counts)")
     p_wilf.add_argument("--emit", choices=["text", "json"], default="text")
     p_scan = ssub.add_parser("polyscan", help="polynomial classes of a finished survey")
     p_scan.add_argument("--in", dest="infile", required=True)
     p_scan.add_argument("--max-degree", type=int, default=7)
-    p_scan.add_argument("--max-n", type=int, default=None)
+    p_scan.add_argument("--max-n", type=int, default=argparse.SUPPRESS, help="horizon (default: full stored counts)")
     p_scan.add_argument("--emit", choices=["text", "json", "csv"], default="text")
 
     p_exp = sub.add_parser("experiment", help="random pattern-set classification experiment")
@@ -102,7 +115,7 @@ def build_parser() -> Parser:
     p_exp.add_argument("--max-n", type=int, required=True)
     p_exp.add_argument("--trials", type=int, required=True)
     p_exp.add_argument("--seed", type=int, default=42)
-    p_exp.add_argument("--node-budget", type=int, default=None)
+    p_exp.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p_exp.add_argument("--emit", choices=["text", "json"], default="text")
 
     p_rep = sub.add_parser("reproduce", help="run a named reproduction check")
@@ -112,6 +125,9 @@ def build_parser() -> Parser:
 
 
 def _cmd_count(args) -> int:
+    if args.enumerate and (args.emit != "text" or args.from_one):
+        flag = "--from-one" if args.emit == "text" else f"--emit {args.emit}"
+        raise ValueError(f"{flag} does not apply to --enumerate, which lists the avoiders of length max-n as text")
     patterns = parse_pattern_list(args.patterns)
     if args.enumerate:
         members = enumerate_avoiders(patterns, args.max_n, node_budget=args.node_budget)
@@ -212,6 +228,8 @@ def _horizon(args, records) -> int:
 
 
 def _cmd_survey(args) -> int:
+    if args.survey_cmd and getattr(args, "run_flags", None):
+        raise ValueError(f"{args.run_flags[0]} applies to a survey run, not to survey {args.survey_cmd}")
     if args.survey_cmd == "wilf":
         records = _survey_records(args)
         horizon = _horizon(args, records)
@@ -272,17 +290,18 @@ def _cmd_survey(args) -> int:
     # no subcommand: run the survey
     if args.out is None:
         raise ValueError("survey run requires --out (or use the wilf/polyscan subcommands)")
+    max_n = 10 if args.max_n is None else args.max_n
     records = run_survey_to_file(
         args.num_patterns,
         args.pattern_length,
-        args.max_n,
+        max_n,
         args.out,
         node_budget=args.node_budget,
     )
     failed = sum(1 for r in records if r.error is not None)
     _emit(
         f"surveyed {len(records)} symmetry classes of {args.num_patterns} patterns "
-        f"of length {args.pattern_length} to n={args.max_n} ({failed} budget failures) -> {args.out}"
+        f"of length {args.pattern_length} to n={max_n} ({failed} budget failures) -> {args.out}"
     )
     return 0
 
@@ -333,7 +352,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             "experiment": _cmd_experiment,
             "reproduce": _cmd_reproduce,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: stop quietly, and point stdout at
+        # devnull so that the interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -34,9 +34,9 @@ case of its own: its reduced pattern is empty, with one empty embedding
 that every row matches and every gap completes.
 
 Every counter that grows a tree takes its arguments through one rule,
-``_node_budget_for``: max_n must be >= 0, and the node budget is the
-explicit argument, else the ``PATAVOID_NODE_BUDGET`` environment variable,
-else 10**8, and never below 0. A tree whose nodes pass the budget raises
+``_node_budget_for``: max_n must be >= 0, and so must the node budget,
+which is the ``node_budget`` argument (by default ``DEFAULT_NODE_BUDGET``,
+10**8) and nothing else. A tree whose nodes pass the budget raises
 BudgetExceededError naming the budget and the length where it passed
 (``_over_budget``), never partial counts.
 
@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import ctypes
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -72,31 +71,24 @@ import numpy as np
 from .perms import PatternSet, Perm, all_perms, avoids, pattern_set
 
 DEFAULT_NODE_BUDGET = 10**8
-NODE_BUDGET_ENV_VAR = "PATAVOID_NODE_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
     """A configured resource budget (tree nodes, subset count) ran out."""
 
 
-def resolve_node_budget(node_budget: int | None) -> int:
-    """Explicit argument, else the PATAVOID_NODE_BUDGET env var, else 10**8; never below 0."""
-    if node_budget is None:
-        text = os.environ.get(NODE_BUDGET_ENV_VAR, str(DEFAULT_NODE_BUDGET))
-        try:
-            node_budget = int(text)
-        except ValueError:
-            raise ValueError(f"{NODE_BUDGET_ENV_VAR} must be an integer, got {text!r}") from None
+def check_node_budget(node_budget: int) -> int:
+    """The node budget, which must be >= 0."""
     if node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     return node_budget
 
 
-def _node_budget_for(max_n: int, node_budget: int | None) -> int:
-    """Every counter's argument rule: max_n must be >= 0; returns the resolved node budget."""
+def _node_budget_for(max_n: int, node_budget: int) -> int:
+    """Every counter's argument rule: max_n must be >= 0, and the node budget too."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    return resolve_node_budget(node_budget)
+    return check_node_budget(node_budget)
 
 
 def _over_budget(budget: int, n: int) -> BudgetExceededError:
@@ -107,25 +99,11 @@ def _over_budget(budget: int, n: int) -> BudgetExceededError:
 class CountSequence:
     """
     Counts indexed by length n = 0..max_n, with the pattern set they count
-    (None for sequences that do not come from avoidance counting). Behaves
-    as a read-only sequence of ints.
+    (None for sequences that do not come from avoidance counting).
     """
 
     counts: tuple[int, ...]
     patterns: PatternSet | None = None
-
-    @property
-    def max_n(self) -> int:
-        return len(self.counts) - 1
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __getitem__(self, n):
-        return self.counts[n]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.counts)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +454,7 @@ def count_avoiders(
     patterns: Iterable[Sequence[int]],
     max_n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> CountSequence:
     """
     The number of permutations of each length 0..max_n avoiding every
@@ -497,7 +475,7 @@ def count_avoiders_many(
     pattern_sets: Iterable[Iterable[Sequence[int]]],
     max_n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[CountSequence | BudgetExceededError]:
     """
     For each pattern set in order, what ``count_avoiders`` gives for it: its
@@ -528,7 +506,7 @@ def enumerate_avoiders(
     patterns: Iterable[Sequence[int]],
     n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> frozenset[Perm]:
     """
     The full set of length-n avoiders. Memory is the caller's problem;
@@ -571,7 +549,7 @@ def count_avoiders_tree(patterns: Iterable[Sequence[int]], max_n: int) -> CountS
     >>> count_avoiders_tree([(1, 3, 2)], 5).counts
     (1, 1, 2, 5, 14, 42)
     """
-    budget = _node_budget_for(max_n, None)
+    budget = _node_budget_for(max_n, DEFAULT_NODE_BUDGET)
     sigma = pattern_set(patterns)
     level: list[Perm] = [()] if avoids((), sigma) else []
     counts = [len(level)]

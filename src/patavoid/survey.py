@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .counting import BudgetExceededError, count_avoiders, count_avoiders_many, resolve_node_budget
+from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, check_node_budget, count_avoiders, count_avoiders_many
 from .perms import (
     PatternSet,
     all_perms,
@@ -119,7 +119,7 @@ def fill_counts(
     records: list[SurveyRecord],
     max_n: int,
     *,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SurveyRecord]:
     """
     Compute avoidance counts (lengths 1..max_n) in place for every record
@@ -127,13 +127,12 @@ def fill_counts(
     call, and return those records in record order. Budget failures are
     recorded on the record, with the budget, not raised.
     """
-    budget = resolve_node_budget(node_budget)
     todo = [r for r in records if r.counts is None and r.error is None]
-    results = count_avoiders_many([r.patterns for r in todo], max_n, node_budget=budget)
+    results = count_avoiders_many([r.patterns for r in todo], max_n, node_budget=node_budget)
     for record, result in zip(todo, results):
         if isinstance(result, BudgetExceededError):
             record.error = str(result)
-            record.node_budget = budget
+            record.node_budget = node_budget
         else:
             record.counts = tuple(result.counts[1:])
     return todo
@@ -159,8 +158,8 @@ class WilfClustering:
 def wilf_survey(records: list[SurveyRecord], max_n: int) -> WilfClustering:
     """
     Count every record up to max_n and cluster them at horizon max_n.
-    Records that blow the node budget (``PATAVOID_NODE_BUDGET`` or the
-    default) are collected under ``failed`` instead of aborting the survey.
+    Records that blow the default node budget (``DEFAULT_NODE_BUDGET``) are
+    collected under ``failed`` instead of aborting the survey.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -308,7 +307,7 @@ def random_experiment(
     seed: int,
     *,
     workers: int = 1,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ExperimentResult:
     """
     Draw ``trials`` random subsets of the length-4 patterns (with
@@ -328,12 +327,11 @@ def random_experiment(
         raise ValueError("trials must be >= 1")
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3 for the 4 terms classify needs, got {max_n}")
-    budget = resolve_node_budget(node_budget)
     bucket_counts = {b: 0 for b in BUCKETS}
     results = []
     for trial in range(trials):
         patterns = sample_pattern_subset(seed, trial, num_patterns)
-        counts = count_avoiders(patterns, max_n, node_budget=budget).counts
+        counts = count_avoiders(patterns, max_n, node_budget=node_budget).counts
         results.append(TrialResult(trial, patterns, counts, classify(list(counts))))
         bucket_counts[results[-1].bucket] += 1
     nonpoly = [r.counts for r in results if r.bucket == "non_polynomial"]
@@ -400,7 +398,7 @@ def run_survey_to_file(
     out_path: str,
     *,
     workers: int = 1,
-    node_budget: int | None = None,
+    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[SurveyRecord]:
     """
     Enumerate symmetry classes, count each representative to max_n, and
@@ -412,7 +410,7 @@ def run_survey_to_file(
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    budget = resolve_node_budget(node_budget)
+    check_node_budget(node_budget)
     classes = enumerate_symmetry_classes(num_patterns, pattern_length)
     try:
         stored, complete = _load_survey(out_path)
@@ -429,14 +427,14 @@ def run_survey_to_file(
             )
         if prior.counts is not None and len(prior.counts) != max_n:
             raise ValueError(f"{where}: counted to n={len(prior.counts)}, this survey to n={max_n}")
-        if prior.error is not None and prior.node_budget != budget:
+        if prior.error is not None and prior.node_budget != node_budget:
             stored_budget = "no node budget" if prior.node_budget is None else f"node budget {prior.node_budget}"
-            raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {budget}")
+            raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {node_budget}")
         done[prior.patterns] = prior
     records = [done.get(record.patterns, record) for record in classes]
     with open(out_path, "a", encoding="utf-8") as fh:
         fh.truncate(complete)
-        for record in fill_counts(records, max_n, node_budget=budget):
+        for record in fill_counts(records, max_n, node_budget=node_budget):
             fh.write(json.dumps(record.to_json_dict()) + "\n")
             fh.flush()
     return records

@@ -32,8 +32,7 @@ member its answer ends on with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
 the process as read-only (members, n) int16 arrays, rows sorted and
-distinct; the cache tolerates concurrent readers (worst case a value is
-computed twice).
+distinct.
 """
 from __future__ import annotations
 

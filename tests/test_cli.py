@@ -3,7 +3,9 @@ import json
 import pytest
 
 from patavoid.cli import main
+from patavoid.counting import count_avoiders, count_avoiders_many, count_avoiders_tree, enumerate_avoiders
 from patavoid.perms import format_perm
+from patavoid.survey import enumerate_symmetry_classes, fill_counts, random_experiment, run_survey_to_file
 from patavoid.templates import generate_family, parse_template_list
 
 
@@ -37,6 +39,17 @@ class TestCount:
         assert code == 0
         assert out.split() == ["321"]
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--emit", "json"], "--emit json"),
+        (["--emit", "csv"], "--emit csv"),
+        (["--from-one"], "--from-one"),
+        (["--emit", "json", "--from-one"], "--emit json"),
+    ])
+    def test_enumerate_refuses_output_flags_it_cannot_honour(self, capsys, flags, named):
+        code, out, err = run(capsys, "count", "--patterns", "123", "--max-n", "3", "--enumerate", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {named} does not apply to --enumerate")
+
     def test_parse_error_names_token(self, capsys):
         code, _, err = run(capsys, "count", "--patterns", "12345x", "--max-n", "3")
         assert code == 1
@@ -45,11 +58,6 @@ class TestCount:
     def test_negative_budget_rejected(self, capsys):
         code, out, err = run(capsys, "count", "--patterns", "132", "--max-n", "3", "--node-budget", "-5")
         assert (code, out, err) == (1, "", "error: node budget must be >= 0, got -5\n")
-
-    def test_non_integer_env_budget_names_the_variable(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "abc")
-        code, out, err = run(capsys, "count", "--patterns", "132", "--max-n", "3")
-        assert (code, out, err) == (1, "", "error: PATAVOID_NODE_BUDGET must be an integer, got 'abc'\n")
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run(
@@ -245,6 +253,26 @@ class TestSurveyCommands:
         assert err.startswith("error: ") and str(tmp_path) in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_one_horizon_on_either_side_of_the_subcommand(self, capsys, tmp_path):
+        path = str(tmp_path / "s.jsonl")
+        code, out, _ = run(capsys, "survey", "--num-patterns", "2", "--pattern-length", "3", "--out", path)
+        assert code == 0 and "to n=10 " in out  # a run without --max-n counts to N=10
+        for command, extra in [("wilf", []), ("polyscan", ["--max-degree", "1"])]:
+            for before, after in [([], []), (["--max-n", "5"], []), ([], ["--max-n", "5"])]:
+                code, out, err = run(capsys, "survey", *before, command, "--in", path, *extra, *after, "--emit", "json")
+                assert (code, err) == (0, "")
+                assert json.loads(out)["horizon"] == (5 if before or after else 10)
+
+    @pytest.mark.parametrize("command", ["wilf", "polyscan"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--out", "/nonexistent/x"), ("--num-patterns", "2"), ("--pattern-length", "3"), ("--node-budget", "5"),
+    ])
+    def test_subcommands_refuse_run_flags(self, capsys, tmp_path, command, flag, value):
+        path = str(tmp_path / "s.jsonl")
+        assert run(capsys, "survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "6", "--out", path)[0] == 0
+        code, out, err = run(capsys, "survey", flag, value, command, "--in", path)
+        assert (code, out, err) == (1, "", f"error: {flag} applies to a survey run, not to survey {command}\n")
+
     def test_polyscan_needs_four_terms(self, capsys, tmp_path):
         path = str(tmp_path / "s.jsonl")
         survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--out", path]
@@ -353,10 +381,35 @@ class TestParsing:
         assert code == 1 and out == "" and "unrecognized arguments: --workers=2" in err
         assert not out_path.exists()
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "20")
-        code, _, err = run(capsys, "count", "--patterns", "132", "--max-n", "9")
-        assert code == 2
+    @pytest.mark.parametrize("value", ["abc", "-1", "5"])
+    def test_node_budget_environment_variable_is_ignored(self, capsys, monkeypatch, tmp_path, value):
+        # the node budget has one channel, the argument / --node-budget
+        def outputs():
+            path = tmp_path / "s.jsonl"
+            path.unlink(missing_ok=True)
+            got = [
+                count_avoiders([(1, 3, 2)], 7),
+                count_avoiders_many([[(1, 3, 2)], [(1, 2, 3), (3, 2, 1)]], 7),
+                enumerate_avoiders([(1, 3, 2)], 5),
+                count_avoiders_tree([(1, 3, 2)], 7),
+                fill_counts(enumerate_symmetry_classes(1, 3), 7),
+                random_experiment(12, 8, 3, 42),
+                run_survey_to_file(1, 3, 7, str(path)),
+                path.read_bytes(),
+            ]
+            path.unlink()
+            cli_runs = [
+                ["count", "--patterns", "132", "--max-n", "7"],
+                ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "7", "--out", str(path)],
+                ["experiment", "--num-patterns", "12", "--max-n", "8", "--trials", "3"],
+                ["reproduce", "catalan"],
+            ]
+            return got + [run(capsys, *argv) for argv in cli_runs]
+
+        monkeypatch.delenv("PATAVOID_NODE_BUDGET", raising=False)
+        unset = outputs()
+        monkeypatch.setenv("PATAVOID_NODE_BUDGET", value)
+        assert outputs() == unset
 
 
 class TestArtifactRoundTrips:

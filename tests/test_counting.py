@@ -21,7 +21,6 @@ from patavoid.counting import (
     count_avoiders_naive,
     count_avoiders_tree,
     enumerate_avoiders,
-    resolve_node_budget,
 )
 from patavoid.perms import all_perms, apply_symmetry_to_set, avoids, contains, flatten, pattern_set
 from patavoid.survey import enumerate_symmetry_classes, sample_pattern_subset
@@ -83,7 +82,7 @@ class TestNaiveOracle:
 
     @pytest.mark.parametrize("env_budget", ["abc", "-1"])
     def test_ignores_the_node_budget(self, monkeypatch, env_budget):
-        # the counters that grow a tree reject these values; the oracle reads no budget
+        # the oracle reads no budget
         monkeypatch.setenv("PATAVOID_NODE_BUDGET", env_budget)
         assert count_avoiders_naive([(1, 3, 2)], 5).counts == (1, 1, 2, 5, 14, 42)
 
@@ -103,14 +102,6 @@ class TestTreeOracle:
     @pytest.mark.parametrize("sigma", [[], [()], [(1,)], [(1, 2), (2, 1)]], ids=repr)
     def test_edge_sets_match_naive(self, sigma):
         assert count_avoiders_tree(sigma, 8).counts == count_avoiders_naive(sigma, 8).counts
-
-    def test_env_budget_matches_engine(self, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "40")
-        with pytest.raises(BudgetExceededError) as engine:
-            count_avoiders([(1, 3, 2)], 10)
-        with pytest.raises(BudgetExceededError) as oracle:
-            count_avoiders_tree([(1, 3, 2)], 10)
-        assert str(oracle.value) == str(engine.value) == "insertion tree exceeded node budget 40 at length 5"
 
 
 class TestEnumerate:
@@ -188,31 +179,14 @@ class TestBudget:
         with pytest.raises(BudgetExceededError):
             count_avoiders([(1, 3, 2)], 10, node_budget=50)
 
-    def test_budget_env_var(self, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "40")
-        assert resolve_node_budget(None) == 40
-        with pytest.raises(BudgetExceededError):
-            count_avoiders([(1, 3, 2)], 10)
-        # explicit argument still wins
-        assert count_avoiders([(1, 3, 2)], 6, node_budget=10**6).counts == CATALAN[:7]
-
-
     def test_budget_zero_allows_the_root_only(self):
         assert count_avoiders([(1, 2)], 0, node_budget=0).counts == (1,)
         with pytest.raises(BudgetExceededError):
             count_avoiders([(1, 2)], 1, node_budget=0)
 
-    def test_negative_budget_rejected(self, monkeypatch):
+    def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="node budget must be >= 0, got -5"):
             count_avoiders([(1, 3, 2)], 3, node_budget=-5)
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "-5")
-        with pytest.raises(ValueError, match="node budget must be >= 0, got -5"):
-            count_avoiders_tree([(1, 3, 2)], 3)
-
-    def test_non_integer_env_budget_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "abc")
-        with pytest.raises(ValueError, match="PATAVOID_NODE_BUDGET must be an integer, got 'abc'"):
-            resolve_node_budget(None)
 
     @pytest.mark.parametrize("counter", [
         lambda n: count_avoiders([(1, 2)], n),
@@ -244,15 +218,6 @@ class TestBlasThreads:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["1"] * len(libs)
-
-
-class TestCountSequence:
-    def test_sequence_protocol(self):
-        seq = CountSequence(counts=(1, 1, 2), patterns=((1, 3, 2),))
-        assert len(seq) == 3
-        assert seq[2] == 2
-        assert list(seq) == [1, 1, 2]
-        assert seq.max_n == 2
 
 
 class TestLargeAgreement:
@@ -652,8 +617,3 @@ class TestCountAvoidersMany:
         assert [s.counts for s in count_avoiders_many([[(1,)], [(1, 2)]], 0)] == [(1,), (1,)]
         with pytest.raises(ValueError):
             count_avoiders_many([[(1, 2)]], -1)
-
-    def test_env_budget(self, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "40")
-        (got,) = count_avoiders_many([[(1, 3, 2)]], 10)
-        assert str(got) == "insertion tree exceeded node budget 40 at length 5"

@@ -13,11 +13,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
+def src_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, *argv], cwd=ROOT, env=src_env(), capture_output=True, text=True, timeout=300
     )
 
 
@@ -63,3 +67,18 @@ def test_cli_experiment_same_bytes_on_two_runs():
 def test_cli_invalid_input_exits_one():
     proc = run_cli("count", "--patterns", "132", "--max-n", "-1")
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: max_n must be >= 0\n")
+
+
+def test_cli_closed_stdout_exits_quietly():
+    # the reader takes one line of a family far larger than the pipe's buffer, then closes
+    argv = ["template", "gen", "--templates", "14253:10101,15243:10101", "--n", "9"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "patavoid.cli", *argv],
+        cwd=ROOT, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=300)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (code, first, err) == (1, b"123456789\n", b"")

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -8,14 +7,15 @@ import re
 
 import pytest
 
-from patavoid import claims
 from patavoid.counting import BudgetExceededError, count_avoiders
 from patavoid.perms import SYMMETRIES, all_perms, apply_symmetry, canonicalize_set, pattern_set, symmetry_orbit
 from patavoid.seqanalysis import ClassificationReport
 from patavoid.survey import (
     SurveyRecord,
     bucket_of,
+    cluster_fingerprints,
     enumerate_symmetry_classes,
+    fill_counts,
     polynomial_scan,
     random_experiment,
     read_survey,
@@ -114,23 +114,6 @@ class TestSymmetryClasses:
             enumerate_symmetry_classes(4, 4)
 
 
-class TestWilfClaimFallback:
-    # only budget failures reach the horizon-9 fallback, so the survey's
-    # records are copied and some of them stripped of their counts
-    @pytest.mark.parametrize("stripped, status", [(10, "ok"), (600, "FAIL")])
-    def test_horizon_nine_fallback(self, monkeypatch, stripped, status):
-        records = [dataclasses.replace(r) for r in claims._survey_4x4()]
-        for record in records[:stripped]:
-            record.counts, record.error = None, "budget exhausted"
-        monkeypatch.setattr(claims, "_survey_4x4", lambda: tuple(records))
-        distinct = len({r.counts[:9] for r in records if r.counts is not None})
-        result = claims.check_wilf1100()
-        assert result.lines[-1] == (
-            f"{status:<4} {stripped} records hit the budget; "
-            f"horizon-9 fallback: expected >= 1000 distinct, got {distinct}"
-        )
-
-
 class TestWilfSurvey:
     def test_orbit_members_share_fingerprints(self):
         rng = random.Random(21)
@@ -166,10 +149,10 @@ class TestWilfSurvey:
         assert all(len(r.counts) == max_n and r.report is None for r in records)
         assert sum(len(group) for group in clustering.clusters.values()) == len(records)
 
-    def test_budget_failures_recorded_not_raised(self, monkeypatch):
-        monkeypatch.setenv("PATAVOID_NODE_BUDGET", "30")
+    def test_budget_failures_recorded_not_raised(self):
         records = enumerate_symmetry_classes(1, 3)
-        clustering = wilf_survey(records, 9)
+        fill_counts(records, 9, node_budget=30)
+        clustering = cluster_fingerprints(records, 9)
         assert len(clustering.failed) == len(records)
         for record in records:
             assert record.error is not None
