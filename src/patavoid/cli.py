@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .claims import CLAIMS, run_claim
 from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, count_avoiders, enumerate_avoiders
-from .perms import format_pattern_set, format_perm, parse_pattern_list
+from .perms import format_pattern_set, format_perm, format_perm_rows, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
 from .templates import _family_at, certify_avoidance, parse_template_list
@@ -160,7 +160,7 @@ def _cmd_template(args) -> int:
         templates = parse_template_list(args.templates)
         if args.n < 0:
             raise ValueError("n must be >= 0")
-        members = format_pattern_set(row.tolist() for row in _family_at(templates, args.n))
+        members = format_perm_rows(_family_at(templates, args.n))
         if args.emit == "json":
             _emit_json({
                 "templates": [str(t) for t in templates],

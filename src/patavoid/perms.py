@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 Perm = tuple[int, ...]
 PatternSet = tuple[Perm, ...]
 
@@ -275,6 +277,37 @@ def format_perm(p: Sequence[int]) -> str:
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return ",".join(str(v) for v in p)
+
+
+_FORMAT_ROWS = 1 << 15  # rows formatted at once
+
+
+def format_perm_rows(rows: np.ndarray) -> list[str]:
+    """
+    ``format_perm`` of each row of a (count, n) array of permutations, in
+    bulk. Each value's text, with its comma above length 9, comes from one
+    table, so every row takes the same bytes; the last comma (or, up to
+    length 9, one added byte) becomes a newline, and one decode per block of
+    rows cuts them.
+
+    >>> format_perm_rows(np.array([[2, 3, 1], [1, 2, 3]]))
+    ['231', '123']
+    """
+    count, n = rows.shape
+    sep = "," if n > 9 else ""
+    texts = [f"{v}{sep}".encode() for v in range(n + 1)]
+    table = np.zeros((n + 1, len(texts[-1])), dtype=np.uint8)
+    for v, text in enumerate(texts):
+        table[v, :len(text)] = list(text)
+    size = sum(map(len, texts[1:]))
+    out: list[str] = []
+    for start in range(0, count, _FORMAT_ROWS):
+        cells = table[rows[start:start + _FORMAT_ROWS]]
+        lines = np.empty((len(cells), size + 1 - len(sep)), dtype=np.uint8)
+        lines[:, :size] = cells[cells != 0].reshape(len(cells), size)
+        lines[:, -1] = ord("\n")
+        out += lines.tobytes().decode("ascii").splitlines()
+    return out
 
 
 def parse_perm(text: str) -> Perm:

@@ -16,9 +16,11 @@ strictly shorter than the whole, and each nonempty subword, renumbered to
 Because the value ranges stack totally, each subword occupies a consecutive
 block of values, so generation is mechanical: choose a template, choose the
 subword sizes, pick each subword's content from the (memoized) smaller
-family, and shift each block into place. Each length is one array: a product
-of the shorter lengths' arrays per template and split, sorted, with repeats
-(members that fit several splits) dropped.
+family, and shift each block into place. Each length is one array, filled in
+place with the product of the shorter lengths' arrays per template and
+split, then sorted with repeats (members that fit several splits) dropped:
+by one sort of packed keys (``counting._distinct_rows``) up to length 16,
+by ``np.lexsort`` past it.
 
 The point of such families is the certification theorem: if the slot
 strings have at most k zeros and some member of the family contains a
@@ -26,9 +28,10 @@ pattern of length l, then some member of length at most (l-1)(k+1)+1
 already does. Checking the finitely many lengths up to that bound therefore
 proves avoidance for every length at once; ``certify_avoidance`` does
 exactly that and returns the evidence. It checks each length as one array
-of members in one ``counting.rows_containing`` pass over the whole pattern
-set (the gather and order check the counting kernel uses), and confirms the
-member its answer ends on with ``perms.contains``.
+of members against the whole pattern set in one ``counting.rows_containing``
+call, which recurses on the members' distinct max-deleted parents and asks
+the counting kernel whether each member's maximum completes a pattern, and
+confirms the member its answer ends on with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
 the process as read-only (members, n) int16 arrays, rows sorted and
@@ -43,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CountSequence, rows_containing
+from .counting import CountSequence, _distinct_rows, rows_containing
 from .perms import PatternSet, Perm, contains, format_perm, parse_perm, pattern_set, perm
 
 
@@ -163,24 +166,25 @@ def _family(templates: TemplateSet, n: int) -> np.ndarray:
     if n < 2:
         rows = np.ones((1, n), dtype=np.int16)  # () and (1,)
     else:
-        parts = [np.zeros((0, n), dtype=np.int16)]
-        for t in templates:
-            for sizes in _subword_sizes(n, t.slots):
-                subs = [_family(templates, s) for s in sizes]
-                counts = [len(sub) for sub in subs]
-                product = np.empty((math.prod(counts), n), dtype=np.int16)
-                start = 0
-                for i, (sub, off) in enumerate(zip(subs, _block_offsets(t.order, sizes))):
-                    # every combination once: repeat over the later slots' choices, tile over the earlier ones'
-                    block = np.repeat(sub + off, math.prod(counts[i + 1:]), axis=0)
-                    product[:, start:start + sizes[i]] = np.tile(block, (math.prod(counts[:i]), 1))
-                    start += sizes[i]
-                parts.append(product)
-        rows = np.concatenate(parts)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        fresh = np.ones(len(rows), dtype=bool)
-        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)  # splits may overlap
-        rows = rows[fresh]
+        splits = [
+            (sizes, _block_offsets(t.order, sizes), [_family(templates, s) for s in sizes])
+            for t in templates
+            for sizes in _subword_sizes(n, t.slots)
+        ]
+        rows = np.empty((sum(math.prod(map(len, subs)) for *_, subs in splits), n), dtype=np.int16)
+        at = 0
+        for sizes, offsets, subs in splits:
+            counts = [len(sub) for sub in subs]
+            product = rows[at:at + math.prod(counts)]
+            at += len(product)
+            start = 0
+            for i, (sub, off) in enumerate(zip(subs, offsets)):
+                # every combination once: each choice of this slot under every choice of the
+                # earlier slots, repeated over every choice of the later ones
+                grid = product.reshape(math.prod(counts[:i]), counts[i], math.prod(counts[i + 1:]), n)
+                grid[..., start:start + sizes[i]] = (sub + off)[None, :, None]
+                start += sizes[i]
+        rows, _ = _distinct_rows(rows)  # splits may overlap
     rows.flags.writeable = False
     return rows
 

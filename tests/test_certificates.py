@@ -10,9 +10,11 @@ one ``certify_avoidance`` runs on), after checking it against the reference
 import random
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from patavoid import counting
 from patavoid.counting import rows_containing
 from patavoid.perms import all_perms, avoids, contains
 from patavoid.templates import (
@@ -26,6 +28,7 @@ from patavoid.templates import (
 
 T_FIVE = parse_template("45312:10101")
 T_PAIR = (parse_template("14253:10101"), parse_template("15243:10101"))
+PROP7 = [(2, 3, 4, 1), (2, 4, 1, 3), (2, 4, 3, 1), (3, 2, 4, 1)]
 
 
 def family_rows(templates, n: int) -> np.ndarray:
@@ -37,6 +40,26 @@ def first_hit(rows, hits, patterns):
     """The first row the kernel flags, and the patterns ``perms.contains`` finds in it."""
     pi = tuple(rows[np.argmax(hits)].tolist())
     return pi, [sigma for sigma in patterns if contains(pi, sigma)]
+
+
+def with_max_at(parent, gaps):
+    """The rows of ``parent`` with its new maximum inserted at each gap."""
+    n = len(parent) + 1
+    return [tuple(parent[:g]) + (n,) + tuple(parent[g:]) for g in gaps]
+
+
+@st.composite
+def rows_sharing_parents(draw, n):
+    """Random length-n rows, up to about 250 of them, most sharing their max-deleted parent with others."""
+    rows = []
+    if n:
+        for parent in draw(st.lists(st.permutations(range(1, n)), max_size=40)):
+            rows += with_max_at(parent, draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6)))
+    return rows + draw(st.lists(st.permutations(range(1, n + 1)).map(tuple), max_size=12))
+
+
+def contains_naively(rows, patterns):
+    return [not avoids(tuple(pi), patterns) for pi in rows]
 
 
 class TestBulkChecker:
@@ -68,9 +91,7 @@ class TestBulkChecker:
             assert got.shape == (0,) and got.dtype == bool
 
     @given(
-        st.integers(0, 9).flatmap(
-            lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(1, n + 1)), max_size=12))
-        ),
+        st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), rows_sharing_parents(n))),
         st.lists(st.integers(0, 5).flatmap(lambda k: st.permutations(range(1, k + 1)).map(tuple)), max_size=4),
     )
     @example((3, [(1, 2, 3), (3, 1, 2)]), [()])
@@ -79,8 +100,67 @@ class TestBulkChecker:
     def test_matches_contains_property(self, sized, sigma):
         n, perms = sized
         rows = np.array(perms, dtype=np.int16).reshape(len(perms), n)
-        want = [not avoids(pi, sigma) for pi in perms]
-        assert rows_containing(rows, sigma).tolist() == want
+        assert rows_containing(rows, sigma).tolist() == contains_naively(perms, sigma)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_whole_symmetric_group_twice(self, n):
+        # every row shares its parent with n others, and every row appears twice
+        perms = sorted(all_perms(n)) * 2
+        rows = np.array(perms, dtype=np.int16)
+        for sigma in [[], [()], [(1,)], [(2, 1)], [(1, 3, 2)], [(2, 4, 1, 3), (3, 1, 4, 2)],
+                      [(3, 1, 2, 5, 4)], [tuple(range(n, 0, -1))], [(2, 1, 3, 4, 5, 6, 7)]]:
+            assert rows_containing(rows, sigma).tolist() == contains_naively(perms, sigma), sigma
+
+    def test_distinct_parents(self):
+        perms = sorted(all_perms(6)) * 2
+        rows = np.array(perms, dtype=np.int16)
+        top = np.argmax(rows, axis=1)
+        parents, inverse = counting._distinct_rows(rows, top, with_inverse=True)
+        assert parents.tolist() == [list(p) for p in sorted(all_perms(5))]
+        assert parents[inverse].tolist() == [[v for v in pi if v != 6] for pi in perms]
+        distinct, none = counting._distinct_rows(rows)
+        assert none is None and distinct.tolist() == [list(p) for p in sorted(all_perms(6))]
+
+    def test_recursion_reaches_its_base(self, monkeypatch):
+        # 64 rows recurse on their parents, 63 rows and rows past n=17 do not
+        calls = []
+        distinct_rows = counting._distinct_rows
+        monkeypatch.setattr(counting, "_distinct_rows", lambda *a, **k: calls.append(a[0].shape) or distinct_rows(*a, **k))
+        rows = np.array(sorted(all_perms(5))[:64], dtype=np.int16)
+        rows_containing(rows[:63], [(1, 2)])
+        assert calls == []
+        rows_containing(rows, [(1, 2)])
+        assert calls and calls[0] == (64, 5) and all(shape[0] >= 64 for shape in calls)
+        calls.clear()
+        rows_containing(np.tile(np.arange(1, 19, dtype=np.int16), (64, 1)), [(1, 2)])
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_long_rows_around_the_key_limit(self, n):
+        # parents of length 15 and 16 fit one packed key; 17 do not, and go direct
+        rng = random.Random(n)
+        perms = []
+        for _ in range(30):
+            perms += with_max_at(rng.sample(range(1, n), n - 1), rng.sample(range(n), 4))
+        perms += perms[:10] + [tuple(range(1, n + 1)), tuple(range(n, 0, -1))]
+        rows = np.array(perms, dtype=np.int16)
+        for sigma in [[()], [(1,)], [(2, 1)], [(1, 2, 3, 4, 5, 6)], [(3, 1, 4, 2), (2, 4, 1, 3)],
+                      [tuple(range(n, 0, -1))], [tuple(range(1, n + 2))]]:
+            assert rows_containing(rows, sigma).tolist() == contains_naively(perms, sigma), (n, sigma)
+
+    def test_prop7_family_at_eleven(self, monkeypatch):
+        # 172,032 members: the recursion against the direct pass on all of them,
+        # and against perms.contains on every 64th
+        rows = _family_at(template_set(T_PAIR), 11)
+        patterns = [PROP7, [(1, 2, 3, 4)], [(4, 3, 2, 1), (1, 3, 2, 4, 5)]]
+        got = [rows_containing(rows, sigma) for sigma in patterns]
+        sample = [tuple(pi) for pi in rows[::64].tolist()]
+        for sigma, hits in zip(patterns, got):
+            assert hits[::64].tolist() == contains_naively(sample, sigma), sigma
+        assert not got[0].any() and got[1].any() and not got[1].all()
+        monkeypatch.setattr(counting, "_DIRECT_ROWS", len(rows) + 1)
+        for sigma, hits in zip(patterns, got):
+            assert (rows_containing(rows, sigma) == hits).all(), sigma
 
 
 class TestSoundnessPastBound:

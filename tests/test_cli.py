@@ -86,6 +86,11 @@ class TestTemplate:
         assert text.splitlines() == expected
         assert json.loads(out) == {"templates": ["12:11", "21:11"], "n": n, "size": len(expected), "members": expected}
 
+    def test_gen_long_members_comma_separated(self, capsys):
+        expected = [format_perm(pi) for pi in sorted(generate_family(parse_template_list("231:101"), 10))]
+        _, text, _ = run(capsys, "template", "gen", "--templates", "231:101", "--n", "10")
+        assert len(expected) == 16796 and text == "".join(f"{line}\n" for line in expected)
+
     def test_gen_negative_n(self, capsys):
         code, out, err = run(capsys, "template", "gen", "--templates", "12:11", "--n", "-1")
         assert (code, out, err) == (1, "", "error: n must be >= 0\n")

@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from patavoid import perms
 from patavoid.perms import (
     SYMMETRIES,
     all_perms,
@@ -15,6 +17,7 @@ from patavoid.perms import (
     contains,
     flatten,
     format_perm,
+    format_perm_rows,
     parse_pattern_list,
     parse_perm,
     pattern_set,
@@ -232,6 +235,16 @@ class TestTextFormat:
         text = format_perm(pi)
         assert "," in text
         assert parse_perm(text) == pi
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 12, 20, 100])
+    def test_rows_in_bulk(self, n, monkeypatch):
+        # blocks of 7 rows: the last block is short, and 0 rows make none
+        monkeypatch.setattr(perms, "_FORMAT_ROWS", 7)
+        rng = random.Random(n)
+        for count in (0, 1, 7, 30):
+            rows = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
+            got = format_perm_rows(np.array(rows, dtype=np.int16).reshape(count, n))
+            assert got == [format_perm(pi) for pi in rows], (n, count)
 
     def test_bad_character_names_position(self):
         with pytest.raises(ValueError, match="position 5"):

@@ -167,6 +167,18 @@ class TestFamilyArrays:
             assert all(a < b for a, b in zip(members, members[1:])), (templates, n)
             assert {tuple(m) for m in members} == generate_family(tset, n)
 
+    @pytest.mark.parametrize("templates, sizes", [("12:11", [1, 1, 1, 1]), ("21:01,12:10", [2**14, 2**15, 2**16, 2**17])])
+    def test_rows_sorted_past_the_packed_key(self, templates, sizes):
+        # rows of up to 16 entries dedupe on a packed key, longer ones by lexsort;
+        # 12:11 reaches the identity through every split
+        tset = parse_template_list(templates)
+        for n, size in zip((15, 16, 17, 18), sizes):
+            rows = _family_at(tset, n)
+            assert rows.shape == (size, n)
+            assert (np.sort(rows, axis=1) == np.arange(1, n + 1)).all()
+            members = rows.tolist()
+            assert all(a < b for a, b in zip(members, members[1:])), (templates, n)
+
     def test_overlapping_splits_counted_once(self):
         # separable permutations: the large Schroeder numbers
         tset = parse_template_list("12:11,21:11")
