@@ -169,8 +169,10 @@ def _cmd_template(args) -> int:
                 "members": members,
             })
         else:
-            for text in members:
-                _emit(text)
+            # blocks of lines, not one write: a write far past stdout's buffer that a
+            # closed pipe cuts short returns as if it were whole, with no error
+            for start in range(0, len(members), 256):
+                sys.stdout.write("\n".join([*members[start:start + 256], ""]))
         return 0
     if args.template_cmd == "certify":
         templates = parse_template_list(args.templates)

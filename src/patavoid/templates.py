@@ -18,9 +18,9 @@ block of values, so generation is mechanical: choose a template, choose the
 subword sizes, pick each subword's content from the (memoized) smaller
 family, and shift each block into place. Each length is one array, filled in
 place with the product of the shorter lengths' arrays per template and
-split, then sorted with repeats (members that fit several splits) dropped:
-by one sort of packed keys (``counting._distinct_rows``) up to length 16,
-by ``np.lexsort`` past it.
+split, then sorted with repeats (members that fit several splits) dropped
+by ``counting._distinct_rows``, the dedupe ``rows_containing`` runs on its
+parents: one sort of packed keys up to length 16, ``np.lexsort`` past it.
 
 The point of such families is the certification theorem: if the slot
 strings have at most k zeros and some member of the family contains a

@@ -112,32 +112,55 @@ class TestBulkChecker:
             assert rows_containing(rows, sigma).tolist() == contains_naively(perms, sigma), sigma
 
     def test_distinct_parents(self):
+        # the parents rows_containing recurses on: each row with its maximum deleted by mask
         perms = sorted(all_perms(6)) * 2
         rows = np.array(perms, dtype=np.int16)
-        top = np.argmax(rows, axis=1)
-        parents, inverse = counting._distinct_rows(rows, top, with_inverse=True)
+        parents, inverse = counting._distinct_rows(rows[rows != 6].reshape(len(rows), 5))
         assert parents.tolist() == [list(p) for p in sorted(all_perms(5))]
+        assert inverse.dtype == np.int32
         assert parents[inverse].tolist() == [[v for v in pi if v != 6] for pi in perms]
-        distinct, none = counting._distinct_rows(rows)
-        assert none is None and distinct.tolist() == [list(p) for p in sorted(all_perms(6))]
+        distinct, inverse = counting._distinct_rows(rows)
+        assert distinct.tolist() == [list(p) for p in sorted(all_perms(6))]
+        assert inverse.tolist() == list(range(720)) * 2
+        # one packed key holds 16 entries; past it np.lexsort sorts, with the same inverse
+        rng = random.Random(16)
+        for n in (16, 17, 18):
+            perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)]
+            perms += perms[::3] + perms[:5]
+            rng.shuffle(perms)
+            distinct, inverse = counting._distinct_rows(np.array(perms, dtype=np.int16))
+            assert distinct.tolist() == [list(p) for p in sorted(set(perms))], n
+            assert inverse.dtype == np.int32, n
+            assert distinct[inverse].tolist() == [list(p) for p in perms], n
 
     def test_recursion_reaches_its_base(self, monkeypatch):
-        # 64 rows recurse on their parents, 63 rows and rows past n=17 do not
+        # 64 rows recurse on their parents at every length, 63 rows do not; each
+        # recorded shape is the parents' (rows that recursed, their length - 1)
         calls = []
         distinct_rows = counting._distinct_rows
-        monkeypatch.setattr(counting, "_distinct_rows", lambda *a, **k: calls.append(a[0].shape) or distinct_rows(*a, **k))
+        monkeypatch.setattr(counting, "_distinct_rows", lambda rows: calls.append(rows.shape) or distinct_rows(rows))
         rows = np.array(sorted(all_perms(5))[:64], dtype=np.int16)
         rows_containing(rows[:63], [(1, 2)])
         assert calls == []
         rows_containing(rows, [(1, 2)])
-        assert calls and calls[0] == (64, 5) and all(shape[0] >= 64 for shape in calls)
+        assert calls == [(64, 4)]
+        calls.clear()
+        rows_containing(np.array(sorted(all_perms(6)), dtype=np.int16), [(1, 2)])
+        assert calls == [(720, 5), (120, 4)]  # S_4's 24 rows are checked directly
         calls.clear()
         rows_containing(np.tile(np.arange(1, 19, dtype=np.int16), (64, 1)), [(1, 2)])
-        assert calls == []
+        assert calls == [(64, 17)]  # through np.lexsort, to one parent checked directly
+        calls.clear()
+        rng = random.Random(18)
+        rows = np.array([rng.sample(range(1, 19), 18) for _ in range(64)], dtype=np.int16)
+        rows_containing(rows, [(1, 2)])
+        assert calls[:2] == [(64, 17), (64, 16)]  # np.lexsort, then packed keys
+        assert [shape[1] for shape in calls] == list(range(17, 17 - len(calls), -1))
+        assert all(shape[0] >= 64 for shape in calls)
 
     @pytest.mark.parametrize("n", [16, 17, 18])
     def test_long_rows_around_the_key_limit(self, n):
-        # parents of length 15 and 16 fit one packed key; 17 do not, and go direct
+        # parents of length 15 and 16 fit one packed key; 17 go through np.lexsort
         rng = random.Random(n)
         perms = []
         for _ in range(30):

@@ -91,6 +91,11 @@ class TestTemplate:
         _, text, _ = run(capsys, "template", "gen", "--templates", "231:101", "--n", "10")
         assert len(expected) == 16796 and text == "".join(f"{line}\n" for line in expected)
 
+    def test_gen_empty_family_and_root(self, capsys):
+        # no line for an empty family, one empty line for the length-0 member
+        assert run(capsys, "template", "gen", "--templates", "123:000", "--n", "4") == (0, "", "")
+        assert run(capsys, "template", "gen", "--templates", "123:000", "--n", "0") == (0, "\n", "")
+
     def test_gen_negative_n(self, capsys):
         code, out, err = run(capsys, "template", "gen", "--templates", "12:11", "--n", "-1")
         assert (code, out, err) == (1, "", "error: n must be >= 0\n")

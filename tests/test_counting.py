@@ -301,6 +301,29 @@ class TestKernel:
             assert len(enumerate_avoiders([(1, 3, 2)], max_n)) == CATALAN[max_n]
             assert calls == list(range(max_n))
 
+    def test_insert_max_matches_reference(self):
+        # gap by gap and, within a gap, in row order: the order _grow_shared's child masks follow
+        def reference(parents, keep):
+            n = parents.shape[1]
+            return [pi[:p] + [n + 1] + pi[p:] for p in range(n + 1)
+                    for pi, kept in zip(parents.tolist(), keep.tolist()) if kept[p]]
+
+        rng = np.random.default_rng(21)
+        cases = [
+            (np.zeros((1, 0), dtype=np.int16), np.ones((1, 1), dtype=bool)),  # the n = 0 root
+            (np.zeros((1, 0), dtype=np.int16), np.zeros((1, 1), dtype=bool)),
+            (np.zeros((0, 4), dtype=np.int16), np.zeros((0, 5), dtype=bool)),  # zero rows
+            (np.array(sorted(all_perms(3)), dtype=np.int16), np.zeros((6, 4), dtype=bool)),  # no kept gap
+        ]
+        for n in range(1, 10):
+            for density in (0.1, 0.5, 0.9):
+                parents = np.array([rng.permutation(n) + 1 for _ in range(rng.integers(1, 40))], dtype=np.int16)
+                cases.append((parents, rng.random((len(parents), n + 1)) < density))
+        for parents, keep in cases:
+            children = counting._insert_max(parents, keep)
+            assert children.dtype == np.int16 and children.shape == (keep.sum(), parents.shape[1] + 1)
+            assert children.tolist() == reference(parents, keep), (parents.tolist(), keep.tolist())
+
 
 def per_group_masks(block, masks, groups):
     """The child masks as the shared grower first built them: one ``_level_bad_gaps`` per group, on rows whose bit is clear."""
