@@ -6,7 +6,7 @@ Subcommands: count, template gen, template certify, analyze, survey
 --seed and reproduce from the paper's seed 42; all output is
 byte-deterministic for a fixed invocation. Exit status: 0 success, 1
 invalid input, a file that cannot be read or written, a closed stdout
-(quietly), or failed reproduction, 2 resource budget exhausted.
+(quietly), or failed reproduction, 2 resource budget or memory exhausted.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .claims import CLAIMS, run_claim
-from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, count_avoiders, enumerate_avoiders
+from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, avoider_rows, count_avoiders
 from .perms import format_pattern_set, format_perm, format_perm_rows, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
@@ -43,6 +43,13 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
+
+
+def _emit_lines(lines: list[str]) -> None:
+    # blocks of lines, not one write: a write far past stdout's buffer that a
+    # closed pipe cuts short returns as if it were whole, with no error
+    for start in range(0, len(lines), 256):
+        sys.stdout.write("\n".join([*lines[start:start + 256], ""]))
 
 
 def _emit_json(data) -> None:
@@ -130,9 +137,7 @@ def _cmd_count(args) -> int:
         raise ValueError(f"{flag} does not apply to --enumerate, which lists the avoiders of length max-n as text")
     patterns = parse_pattern_list(args.patterns)
     if args.enumerate:
-        members = enumerate_avoiders(patterns, args.max_n, node_budget=args.node_budget)
-        for pi in sorted(members):
-            _emit(format_perm(pi))
+        _emit_lines(format_perm_rows(avoider_rows(patterns, args.max_n, node_budget=args.node_budget)))
         return 0
     seq = count_avoiders(patterns, args.max_n, node_budget=args.node_budget)
     counts = list(seq.counts[1:] if args.from_one else seq.counts)
@@ -169,10 +174,7 @@ def _cmd_template(args) -> int:
                 "members": members,
             })
         else:
-            # blocks of lines, not one write: a write far past stdout's buffer that a
-            # closed pipe cuts short returns as if it were whole, with no error
-            for start in range(0, len(members), 256):
-                sys.stdout.write("\n".join([*members[start:start + 256], ""]))
+            _emit_lines(members)
         return 0
     if args.template_cmd == "certify":
         templates = parse_template_list(args.templates)
@@ -237,21 +239,21 @@ def _cmd_survey(args) -> int:
         horizon = _horizon(args, records)
         clustering = cluster_fingerprints(records, horizon)
         failed = len(clustering.failed)
-        payload = {
-            "horizon": horizon,
-            "records": len(records),
-            "failed": failed,
-            "distinct_fingerprints": clustering.num_distinct,
-            "clusters": [
-                {
-                    "counts": list(fp),
-                    "classes": [format_pattern_set(r.patterns) for r in group],
-                }
-                for fp, group in sorted(clustering.clusters.items())
-            ],
-        }
         if args.emit == "json":
-            _emit_json(payload)
+            texts = {}
+            _emit_json({
+                "horizon": horizon,
+                "records": len(records),
+                "failed": failed,
+                "distinct_fingerprints": clustering.num_distinct,
+                "clusters": [
+                    {
+                        "counts": list(fp),
+                        "classes": [format_pattern_set(r.patterns, texts) for r in group],
+                    }
+                    for fp, group in sorted(clustering.clusters.items())
+                ],
+            })
         else:
             _emit(
                 f"records: {len(records)}  failed: {failed}  horizon: {horizon}  "
@@ -262,13 +264,14 @@ def _cmd_survey(args) -> int:
         records = _survey_records(args)
         horizon = _horizon(args, records)
         flagged = polynomial_scan(records, horizon, args.max_degree)
+        texts = {}
         if args.emit == "json":
             _emit_json({
                 "horizon": horizon,
                 "max_degree": args.max_degree,
                 "total": len(flagged),
                 "classes": [
-                    {"class": format_pattern_set(ps), "degree": d} for ps, d in flagged
+                    {"class": format_pattern_set(ps, texts), "degree": d} for ps, d in flagged
                 ],
             })
         elif args.emit == "csv":
@@ -279,7 +282,7 @@ def _cmd_survey(args) -> int:
             for ps, d in flagged:
                 counts = by_class[ps].counts[:horizon]
                 writer.writerow([
-                    " ".join(format_perm(p) for p in ps),
+                    " ".join(format_pattern_set(ps, texts)),
                     " ".join(str(c) for c in counts),
                     d,
                 ])
@@ -287,7 +290,7 @@ def _cmd_survey(args) -> int:
         else:
             _emit(f"polynomial classes (degree 1..{args.max_degree}) at horizon {horizon}: {len(flagged)}")
             for ps, d in flagged:
-                _emit(f"  degree {d}: {{{','.join(format_perm(p) for p in ps)}}}")
+                _emit(f"  degree {d}: {{{','.join(format_pattern_set(ps, texts))}}}")
         return 0
     # no subcommand: run the survey
     if args.out is None:
@@ -367,6 +370,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except BudgetExceededError as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy's failed allocations included
+        print(f"memory exhausted: {str(e) or 'no detail'}", file=sys.stderr)
         return 2
 
 

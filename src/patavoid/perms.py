@@ -198,17 +198,31 @@ def _perm_key(p: Perm) -> tuple[int, Perm]:
     return (len(p), p)
 
 
-def pattern_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
+def _length_lex(perms: Iterable[Perm]) -> PatternSet:
+    """The permutations in ``_perm_key`` order: sorted, then stably by length."""
+    return tuple(sorted(sorted(perms), key=len))
+
+
+def pattern_set(patterns: Iterable[Sequence[int]], valid: set[Perm] | None = None) -> PatternSet:
     """
     Deduplicate and sort patterns length-lexicographically. All pattern-set
     arguments in this package accept anything iterable; this is the
-    normalized form everything converts to.
+    normalized form everything converts to. ``valid``, a set the caller
+    keeps for one call over many sets, holds the patterns already checked,
+    so that each distinct pattern is checked once.
 
     >>> pattern_set([(1, 3, 2), (2, 1), (1, 3, 2)])
     ((2, 1), (1, 3, 2))
     """
-    normalized = {perm(p) for p in patterns}
-    return tuple(sorted(normalized, key=_perm_key))
+    if valid is None:
+        normalized = {perm(p) for p in patterns}
+    else:
+        normalized = set()
+        for p in map(tuple, patterns):
+            if p not in valid:
+                valid.add(perm(p))
+            normalized.add(p)
+    return _length_lex(normalized)
 
 
 def pattern_set_key(patterns: PatternSet) -> tuple[tuple[int, Perm], ...]:
@@ -319,6 +333,8 @@ def parse_perm(text: str) -> Perm:
     >>> parse_perm("10,1,2,3,4,5,6,7,8,9")[0]
     10
     """
+    if not isinstance(text, str):
+        raise TypeError(f"bad permutation {text!r}: not a string")
     text = text.strip()
     if text == "":
         return ()
@@ -340,9 +356,40 @@ def parse_perm(text: str) -> Perm:
     return tuple(values)
 
 
-def format_pattern_set(patterns: Iterable[Sequence[int]]) -> list[str]:
-    """The text forms of the patterns (or permutations), in order."""
-    return [format_perm(p) for p in patterns]
+def format_pattern_set(patterns: Iterable[Sequence[int]], texts: dict[Perm, str] | None = None) -> list[str]:
+    """
+    The text forms of the patterns (or permutations), in order. ``texts``,
+    a table the caller keeps for one file or call, maps each permutation
+    tuple already formatted to its text, so that each is formatted once.
+    """
+    if texts is None:
+        return [format_perm(p) for p in patterns]
+    out = []
+    for p in patterns:
+        text = texts.get(p)
+        if text is None:
+            text = texts[p] = format_perm(p)
+        out.append(text)
+    return out
+
+
+def parse_pattern_set(texts: Iterable[str], perms: dict[str, Perm]) -> PatternSet:
+    """
+    ``pattern_set`` of the permutations the texts parse to. ``perms``, a
+    table the caller keeps for one file or call, maps each text already
+    parsed and checked to its permutation, so that each is parsed once.
+
+    >>> table = {}
+    >>> parse_pattern_set(["132", "21", "132"], table), sorted(table)
+    (((2, 1), (1, 3, 2)), ['132', '21'])
+    """
+    patterns = set()
+    for text in texts:
+        p = perms.get(text)
+        if p is None:
+            p = perms[text] = parse_perm(text)
+        patterns.add(p)
+    return _length_lex(patterns)
 
 
 def parse_pattern_list(text: str) -> PatternSet:

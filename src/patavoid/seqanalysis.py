@@ -12,14 +12,18 @@ run start is its threshold. In precedence order:
   i.e. the differences of the excess f(n) - f(n-1) - f(n-2) end in a run of
   a's, at least six long by default (two terms fix (a, b), five confirm).
 
-Each difference row is built once, from the one before. Everything is
-exact: integer arithmetic, and Fractions for polynomial reconstruction
-(floating point would misread near-degenerate difference tables).
-Sequences are indexed from 0 at their first term; thresholds and
-coefficients refer to that indexing.
+Each difference row is built once, from the one before, in one walk
+(``polynomial_tail``) that both the polynomial detector and the survey's
+polynomial scan take. Everything is exact integer arithmetic (floating
+point would misread near-degenerate difference tables): a polynomial is
+rebuilt in integers scaled by d!, and only its coefficients become
+Fractions, one division each. Sequences are indexed from 0 at their first
+term; thresholds and coefficients refer to that indexing.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -70,7 +74,7 @@ class ClassificationReport:
 
 
 def _diff(seq: Sequence[int]) -> list[int]:
-    return [b - a for a, b in zip(seq, seq[1:])]
+    return list(map(operator.sub, seq[1:], seq))
 
 
 def _run_start(values: Sequence[int]) -> int:
@@ -83,19 +87,24 @@ def _run_start(values: Sequence[int]) -> int:
 
 def _interpolate_tail(column: Sequence[int], n0: int) -> tuple[Fraction, ...]:
     """
-    Exact polynomial of degree len(column) - 1 through the terms from n0 on,
-    as a polynomial in the sequence index, given column[k], the k-th
+    Exact polynomial of degree d = len(column) - 1 through the terms from n0
+    on, as a polynomial in the sequence index, given column[k], the k-th
     difference at n0: Newton's forward form at n0, the sum over k of
-    column[k] times C(x - n0, k).
+    column[k] times C(x - n0, k). Scaled by d!, its k-th term is the integer
+    column[k] * d!/k! times the falling factorial (x - n0)...(x - n0 - k + 1),
+    so the form is nested in integers from k = d down, and each coefficient
+    is divided by d! once.
     """
-    coeffs = [Fraction(0)] * len(column)
-    basis = [Fraction(1)]  # C(x - n0, k) in ascending powers of x
-    for k, delta in enumerate(column):
-        for i, b in enumerate(basis):
-            coeffs[i] += delta * b
-        # C(x - n0, k + 1) = C(x - n0, k) * (x - n0 - k) / (k + 1)
-        basis = [(a - (n0 + k) * b) / (k + 1) for a, b in zip([0, *basis], [*basis, 0])]
-    return tuple(coeffs)
+    degree = len(column) - 1
+    weight = 1  # d!/k!
+    poly = [column[-1]]  # ascending powers of x
+    for k in range(degree - 1, -1, -1):
+        weight *= k + 1
+        # poly * (x - n0 - k) + column[k] * d!/k!
+        poly = [a - (n0 + k) * b for a, b in zip([0, *poly], [*poly, 0])]
+        poly[0] += column[k] * weight
+    scale = math.factorial(degree)
+    return tuple(Fraction(c, scale) for c in poly)
 
 
 def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:
@@ -105,28 +114,47 @@ def eval_poly(coeffs: Sequence[Fraction], x: int) -> Fraction:
     return total
 
 
-def detect_eventual_polynomial(
-    seq: Sequence[int], max_degree: int
-) -> PolynomialFit | None:
+def polynomial_tail(seq: Sequence[int], max_degree: int) -> tuple[int, int, tuple[int, ...]] | None:
     """
-    Smallest degree first, then smallest threshold, requiring at least
-    three equal difference values on the tail. Returns None if nothing
-    qualifies.
+    The one walk down the difference table: the smallest degree d <= max_degree
+    whose d-th differences end in a run of at least three equal values, the
+    threshold where that run starts, and the column of 0th..d-th differences
+    at the threshold. None if no degree qualifies.
 
-    >>> detect_eventual_polynomial([5, 5, 5, 5, 5, 5, 5], 3)
-    PolynomialFit(degree=0, threshold=0, coefficients=(Fraction(5, 1),))
+    >>> polynomial_tail([9, 1, 4, 9, 16, 25, 36], 3)
+    (2, 1, (1, 3, 2))
     """
     if len(seq) < 4:
         raise ValueError("need at least 4 terms")
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
-    rows = [list(seq)]  # rows[d] holds the d-th differences
+    row = list(seq)
+    rows = [row]  # rows[d] holds the d-th differences
     for d in range(max_degree + 1):
-        n0 = _run_start(rows[d])
-        if len(rows[d]) - n0 >= 3:
-            return PolynomialFit(d, n0, _interpolate_tail([row[n0] for row in rows], n0))
-        rows.append(_diff(rows[d]))
+        if len(row) >= 3 and row[-1] == row[-2] == row[-3]:  # a run of at least three
+            n0 = _run_start(row)
+            return d, n0, tuple(r[n0] for r in rows)
+        row = _diff(row)
+        rows.append(row)
     return None
+
+
+def detect_eventual_polynomial(
+    seq: Sequence[int], max_degree: int
+) -> PolynomialFit | None:
+    """
+    Smallest degree first, then smallest threshold, requiring at least
+    three equal difference values on the tail (``polynomial_tail``), with
+    the polynomial through the tail. Returns None if nothing qualifies.
+
+    >>> detect_eventual_polynomial([5, 5, 5, 5, 5, 5, 5], 3)
+    PolynomialFit(degree=0, threshold=0, coefficients=(Fraction(5, 1),))
+    """
+    tail = polynomial_tail(seq, max_degree)
+    if tail is None:
+        return None
+    degree, n0, column = tail
+    return PolynomialFit(degree, n0, _interpolate_tail(column, n0))
 
 
 def detect_fib_like(seq: Sequence[int], min_confirmations: int = 5) -> FibLikeFit | None:

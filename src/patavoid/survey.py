@@ -36,14 +36,15 @@ from typing import Iterable
 from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, check_node_budget, count_avoiders, count_avoiders_many
 from .perms import (
     PatternSet,
+    Perm,
     all_perms,
     format_pattern_set,
-    parse_perm,
+    parse_pattern_set,
     pattern_set,
     pattern_set_key,
     symmetry_classes,
 )
-from .seqanalysis import ClassificationReport, classify, detect_eventual_polynomial, detect_fib_like
+from .seqanalysis import ClassificationReport, classify, detect_fib_like, polynomial_tail
 
 SUBSET_BUDGET = 10**7  # most subsets enumerate_symmetry_classes lets perms.symmetry_classes walk
 
@@ -65,9 +66,10 @@ class SurveyRecord:
             return None
         return classify(list(self.counts))
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, texts: dict[Perm, str]) -> dict:
+        """The record's JSON object; ``texts`` as in ``perms.format_pattern_set``."""
         out: dict = {
-            "class": format_pattern_set(self.patterns),
+            "class": format_pattern_set(self.patterns, texts),
             "orbit": self.orbit_size,
         }
         if self.counts is not None:
@@ -195,9 +197,11 @@ def polynomial_scan(
     counted length on, witnessed by at least d + 3 terms, and never fewer
     than the 4 terms the detector needs) with degree between 1 and
     max_degree. Later-threshold fits are deliberately not counted here;
-    they are visible through each record's classify() report. Sorted by
-    degree, then canonical set. A record with fewer than max_n counts
-    raises, as in cluster_fingerprints.
+    they are visible through each record's classify() report. The degree
+    and threshold come from ``seqanalysis.polynomial_tail``, the difference
+    walk of ``detect_eventual_polynomial``, with no polynomial rebuilt.
+    Sorted by degree, then canonical set. A record with fewer than max_n
+    counts raises, as in cluster_fingerprints.
     """
     need = max(4, max_degree + 3)
     if max_n < need:
@@ -208,10 +212,11 @@ def polynomial_scan(
             continue
         if len(record.counts) < max_n:
             raise ValueError(f"record {_braced(record.patterns)} has fewer than {max_n} counts")
-        counts = list(record.counts[:max_n])
-        fit = detect_eventual_polynomial(counts, max_degree)
-        if fit is not None and fit.threshold == 0 and 1 <= fit.degree <= max_degree:
-            found.append((record.patterns, fit.degree))
+        tail = polynomial_tail(record.counts[:max_n], max_degree)
+        if tail is not None:
+            degree, threshold, _column = tail
+            if threshold == 0 and degree >= 1:
+                found.append((record.patterns, degree))
     found.sort(key=lambda item: (item[1], pattern_set_key(item[0])))
     return found
 
@@ -354,11 +359,12 @@ def random_experiment(
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def record_from_json_dict(data: dict) -> SurveyRecord:
-    patterns = pattern_set(parse_perm(t) for t in data["class"])
+def record_from_json_dict(data: dict, perms: dict[str, Perm]) -> SurveyRecord:
+    """The record of a JSON object; ``perms`` as in ``perms.parse_pattern_set``."""
+    patterns = parse_pattern_set(data["class"], perms)
     record = SurveyRecord(patterns=patterns, orbit_size=int(data["orbit"]))
     if "counts" in data:
-        record.counts = tuple(int(v) for v in data["counts"])
+        record.counts = tuple(map(int, data["counts"]))
     if "error" in data:
         record.error = data["error"]
         record.node_budget = data.get("node_budget")
@@ -368,10 +374,12 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
 def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
     """
     The records of a survey file with their line numbers, and the byte
-    length of its lines up to a torn final one (without its newline).
+    length of its lines up to a torn final one (without its newline). Each
+    distinct pattern text of the file is parsed once.
     """
     records = []
     complete = 0
+    perms: dict[str, Perm] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.endswith(b"\n"):
@@ -380,7 +388,7 @@ def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
             if not raw.strip():
                 continue
             try:
-                records.append((lineno, record_from_json_dict(json.loads(raw))))
+                records.append((lineno, record_from_json_dict(json.loads(raw), perms)))
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}, line {lineno}: not a survey record ({e})") from None
     return records, complete
@@ -432,9 +440,10 @@ def run_survey_to_file(
             raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {node_budget}")
         done[prior.patterns] = prior
     records = [done.get(record.patterns, record) for record in classes]
+    texts: dict[Perm, str] = {}
     with open(out_path, "a", encoding="utf-8") as fh:
         fh.truncate(complete)
         for record in fill_counts(records, max_n, node_budget=node_budget):
-            fh.write(json.dumps(record.to_json_dict()) + "\n")
+            fh.write(json.dumps(record.to_json_dict(texts)) + "\n")
             fh.flush()
     return records

@@ -1,10 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
+from patavoid import cli, templates
 from patavoid.cli import main
 from patavoid.counting import count_avoiders, count_avoiders_many, count_avoiders_tree, enumerate_avoiders
-from patavoid.perms import format_perm
+from patavoid.perms import format_perm, parse_pattern_list
 from patavoid.survey import enumerate_symmetry_classes, fill_counts, random_experiment, run_survey_to_file
 from patavoid.templates import generate_family, parse_template_list
 
@@ -39,6 +41,15 @@ class TestCount:
         assert code == 0
         assert out.split() == ["321"]
 
+    @pytest.mark.parametrize("patterns, n", [
+        ("1342,2413", 9), ("123", 10), ("132,231", 11), ("12", 0), ("1", 3), ("21", 5),
+    ])
+    def test_enumerate_lists_sorted_avoiders(self, capsys, patterns, n):
+        # comma-separated values from length 10 on, one empty line for the length-0 avoider
+        members = sorted(enumerate_avoiders(parse_pattern_list(patterns), n))
+        expected = "".join(f"{format_perm(pi)}\n" for pi in members)
+        assert run(capsys, "count", "--patterns", patterns, "--max-n", str(n), "--enumerate") == (0, expected, "")
+
     @pytest.mark.parametrize("flags, named", [
         (["--emit", "json"], "--emit json"),
         (["--emit", "csv"], "--emit csv"),
@@ -70,6 +81,31 @@ class TestCount:
         _, out1, _ = run(capsys, "count", "--patterns", "4321,1234", "--max-n", "7", "--emit", "json")
         _, out2, _ = run(capsys, "count", "--patterns", "4321,1234", "--max-n", "7", "--emit", "json")
         assert out1 == out2
+
+
+def numpy_memory_error():
+    """numpy's error for a failed allocation, made without allocating."""
+    exceptions = np._core._exceptions if hasattr(np, "_core") else np.core._exceptions
+    return exceptions._ArrayMemoryError((2**40,), np.dtype(np.int16))
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "memory exhausted: no detail\n"),
+        (numpy_memory_error(), "memory exhausted: Unable to allocate 2.00 TiB for an array with shape (1099511627776,) and data type int16\n"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["template", "certify", "--templates", "231:101", "--patterns", "321"],
+        ["template", "gen", "--templates", "231:101", "--n", "5"],
+    ])
+    def test_one_line_and_exit_two(self, capsys, monkeypatch, error, message, argv):
+        def out_of_memory(*args, **kwargs):
+            raise error
+
+        # certify reaches the family through the templates module, gen through the name cli imports
+        monkeypatch.setattr(templates, "_family_at", out_of_memory)
+        monkeypatch.setattr(cli, "_family_at", out_of_memory)
+        assert run(capsys, *argv) == (2, "", message)
 
 
 class TestTemplate:

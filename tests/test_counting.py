@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from patavoid import counting
+from patavoid import counting, perms
 from patavoid.counting import (
     BudgetExceededError,
     CountSequence,
+    avoider_rows,
     count_avoiders,
     count_avoiders_many,
     count_avoiders_naive,
@@ -131,6 +132,15 @@ class TestEnumerate:
 
     def test_length_zero(self):
         assert enumerate_avoiders([(1, 3, 2)], 0) == {()}
+
+    @pytest.mark.parametrize("sigma, n", [
+        ([(1, 3, 2)], 6), ([(1, 2, 3, 4)], 7), ([(1, 2), (2, 1)], 4), ([(1, 3, 2)], 0),
+        ([(1, 3, 2), (2, 3, 1)], 12), ([(1, 3, 2), (2, 3, 1)], 17),  # one packed key per row up to 16 entries
+    ], ids=repr)
+    def test_rows_in_lexicographic_order(self, sigma, n):
+        rows = avoider_rows(sigma, n)
+        assert rows.shape == (count_avoiders(sigma, n).counts[n], n)
+        assert list(map(tuple, rows.tolist())) == sorted(enumerate_avoiders(sigma, n))
 
     def test_budget_message_matches_count_avoiders(self):
         with pytest.raises(BudgetExceededError) as counted:
@@ -634,6 +644,17 @@ class TestCountAvoidersMany:
         got = count_avoiders_many(sets, 6)
         for patterns, seq in zip(sets, got):
             assert seq == count_avoiders(patterns, 6), patterns
+
+    def test_each_pattern_checked_once_per_call(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"not a permutation of 1..3: \(1, 3, 3\)"):
+            count_avoiders_many([[(1, 2)], [(1, 2), (1, 3, 3)]], 4)
+        checked = []
+        real = perms.perm
+        monkeypatch.setattr(perms, "perm", lambda p: checked.append(tuple(p)) or real(p))
+        sets = [[(1, 2, 3), (2, 1)], [[2, 1], (1, 3, 2)], [(1, 3, 2), (1, 2, 3)]]
+        got = count_avoiders_many(sets, 5)
+        assert sorted(checked) == [(1, 2, 3), (1, 3, 2), (2, 1)]
+        assert got == [count_avoiders(s, 5) for s in sets]
 
     def test_no_sets_and_max_n_zero(self):
         assert count_avoiders_many([], 5) == []

@@ -16,9 +16,11 @@ from patavoid.perms import (
     canonicalize_set,
     contains,
     flatten,
+    format_pattern_set,
     format_perm,
     format_perm_rows,
     parse_pattern_list,
+    parse_pattern_set,
     parse_perm,
     pattern_set,
     pattern_set_key,
@@ -216,6 +218,26 @@ class TestPatternSets:
         assert canonicalize_set(patterns) == tuple(sorted(least, key=lambda p: (len(p), p)))
         assert len(symmetry_orbit(patterns)) == len(orbit)
 
+    @given(st.lists(st.lists(
+        st.integers(min_value=0, max_value=4).flatmap(lambda n: st.permutations(range(1, n + 1))).map(tuple),
+        max_size=4,
+    ), max_size=5))
+    def test_shared_check_table(self, sets):
+        valid = set()
+        assert [pattern_set(s, valid) for s in sets] == [pattern_set(s) for s in sets]
+        assert valid == {p for s in sets for p in s}
+
+    def test_shared_check_table_still_rejects(self, monkeypatch):
+        valid = set()
+        pattern_set([(1, 2), [2, 1]], valid)
+        with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(2, 2\)"):
+            pattern_set([(1, 2), (2, 2)], valid)
+        # a pattern in the table is not checked again
+        checked = []
+        monkeypatch.setattr(perms, "perm", lambda p: checked.append(p) or tuple(p))
+        pattern_set([(2, 1), (1, 3, 2), (1, 2)], valid)
+        assert checked == [(1, 3, 2)]
+
     def test_orbit_sizes_divide_eight(self):
         rng = random.Random(5)
         pool = list(all_perms(4))
@@ -245,6 +267,31 @@ class TestTextFormat:
             rows = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(count)]
             got = format_perm_rows(np.array(rows, dtype=np.int16).reshape(count, n))
             assert got == [format_perm(pi) for pi in rows], (n, count)
+
+    def test_pattern_set_texts_through_tables(self):
+        texts, table = {}, {}
+        sets = [((1, 2), (2, 1)), ((2, 1), tuple(range(10, 0, -1)))]
+        formatted = [format_pattern_set(s, texts) for s in sets]
+        assert formatted == [format_pattern_set(s) for s in sets] == [
+            ["12", "21"], ["21", "10,9,8,7,6,5,4,3,2,1"],
+        ]
+        assert list(texts) == [(1, 2), (2, 1), tuple(range(10, 0, -1))]
+        assert [parse_pattern_set(reversed(f), table) for f in formatted] == sets
+        assert table == {text: p for p, text in texts.items()}
+        assert parse_pattern_set(["21", "21", ""], table) == ((), (2, 1))
+
+    @pytest.mark.parametrize("text, match", [
+        ("1x2", "'1x2': invalid character 'x' at position 2"),
+        ("212", "'212': not a bijection on 1..3"),
+        ("1,,2", "'1,,2': invalid literal"),
+        (12, "12: not a string"),
+    ])
+    def test_parse_table_errors_name_the_text(self, text, match):
+        table = {}
+        parse_pattern_set(["12", "21"], table)
+        with pytest.raises((TypeError, ValueError), match=match):
+            parse_pattern_set(["12", text], table)
+        assert list(table) == ["12", "21"]
 
     def test_bad_character_names_position(self):
         with pytest.raises(ValueError, match="position 5"):

@@ -70,15 +70,19 @@ def test_cli_invalid_input_exits_one():
 
 
 def test_cli_closed_stdout_exits_quietly():
-    # the reader takes one line of a family far larger than the pipe's buffer, then closes
-    argv = ["template", "gen", "--templates", "14253:10101,15243:10101", "--n", "9"]
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "patavoid.cli", *argv],
-        cwd=ROOT, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
-    first = proc.stdout.readline()
-    proc.stdout.close()
-    code = proc.wait(timeout=300)
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (code, first, err) == (1, b"123456789\n", b"")
+    # the reader takes one line of a listing far larger than the pipe's buffer, then closes
+    listings = [
+        (["template", "gen", "--templates", "14253:10101,15243:10101", "--n", "9"], b"123456789\n"),
+        (["count", "--patterns", "1234", "--max-n", "9", "--enumerate"], b"129876543\n"),
+    ]
+    for argv, first_line in listings:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "patavoid.cli", *argv],
+            cwd=ROOT, env=src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=300)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (code, first, err) == (1, first_line, b""), argv

@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patavoid.perms import pattern_set
 from patavoid.seqanalysis import (
+    _interpolate_tail,
     classify,
     detect_eventual_polynomial,
     detect_fib_like,
     eval_poly,
+    polynomial_tail,
 )
+from patavoid.survey import SurveyRecord, polynomial_scan
 
 FIB_DRIFT = [1, 2, 6, 12, 18, 26, 39, 60, 94, 149, 238, 382, 615]
 
@@ -311,3 +316,96 @@ class TestTrailingRunRule:
         assert tuple(detect_fib_like(bumped, min_confirmations=4)) == (2, -1, 3)
         assert_all_shapes_match(seq)
         assert_all_shapes_match(bumped)
+
+
+# ---------------------------------------------------------------------------
+# Integer interpolation and the shared difference walk
+# ---------------------------------------------------------------------------
+
+def fraction_interpolate_tail(column, n0):
+    """Newton's forward form at n0 summed in Fractions, one basis polynomial at a time."""
+    coeffs = [Fraction(0)] * len(column)
+    basis = [Fraction(1)]  # C(x - n0, k) in ascending powers of x
+    for k, delta in enumerate(column):
+        for i, b in enumerate(basis):
+            coeffs[i] += delta * b
+        # C(x - n0, k + 1) = C(x - n0, k) * (x - n0 - k) / (k + 1)
+        basis = [(a - (n0 + k) * b) / (k + 1) for a, b in zip([0, *basis], [*basis, 0])]
+    return tuple(coeffs)
+
+
+class TestIntegerInterpolation:
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=10),
+    )
+    def test_matches_the_fraction_form(self, column, n0):
+        got = _interpolate_tail(column, n0)
+        assert got == fraction_interpolate_tail(column, n0)
+        assert all(type(c) is Fraction for c in got)
+
+    @pytest.mark.parametrize("degree", range(8))
+    def test_negative_differences_every_degree(self, degree):
+        column = [-(k + 1) ** 3 for k in range(degree + 1)]
+        for n0 in range(11):
+            assert _interpolate_tail(column, n0) == fraction_interpolate_tail(column, n0)
+
+    def test_reports_keep_their_text(self):
+        # differences 1, 3, 2, 7 at n0 = 4: a cubic with fractional coefficients
+        tail = [sum(d * math.comb(j, k) for k, d in enumerate((1, 3, 2, 7))) for j in range(6)]
+        report = classify([9, 8, 7, 5, *tail])
+        assert (report.degree, report.threshold) == (3, 4)
+        expected = fraction_interpolate_tail((1, 3, 2, 7), 4)
+        assert any(c.denominator > 1 for c in expected)
+        assert report.to_json_dict()["coefficients"] == [str(c) for c in expected]
+
+
+def scan_one(seq, max_degree):
+    record = SurveyRecord(patterns=pattern_set([(1, 2)]), orbit_size=1, counts=tuple(seq))
+    return polynomial_scan([record], len(seq), max_degree)
+
+
+def assert_scan_matches_filter(seq, max_degree):
+    """polynomial_scan against the detect_eventual_polynomial filter it replaced."""
+    fit = detect_eventual_polynomial(seq, max_degree)
+    flagged = fit is not None and fit.threshold == 0 and 1 <= fit.degree <= max_degree
+    assert scan_one(seq, max_degree) == ([(((1, 2),), fit.degree)] if flagged else [])
+    tail = polynomial_tail(seq, max_degree)
+    assert (tail and tail[:2]) == (fit and (fit.degree, fit.threshold)) == reference_polynomial(seq, max_degree)
+
+
+@st.composite
+def prefixed_polynomials(draw):
+    """A polynomial tail behind 0-3 arbitrary terms: fits at thresholds 0 to 3."""
+    coeffs = draw(st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6))
+    prefix = draw(st.lists(st.integers(min_value=-50, max_value=50), max_size=3))
+    length = draw(st.integers(min_value=len(coeffs) + 2, max_value=12))
+    return prefix + sample_poly(coeffs, len(prefix), length)
+
+
+class TestPolynomialScanWalk:
+    @settings(max_examples=300)
+    @given(
+        st.one_of(repeat_rich, perturbed_polynomials(), perturbed_drift(), prefixed_polynomials()),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_the_detector_filter(self, seq, max_degree):
+        if len(seq) >= max(4, max_degree + 3):
+            assert_scan_matches_filter(seq, max_degree)
+
+    @pytest.mark.parametrize("seq", [
+        [4] * 8,
+        [3, 1, 4, 1, 5, 0, 0],
+        [3, 1, 4, 1, 5, 0, 0, 0],
+        [1, 2, 4, 8, 16],
+        [n * n for n in range(1, 11)],
+        [99, 98] + [n * n for n in range(3, 11)],
+        [2, 2, 3, 4, 5, 6],
+        [7] + [n * n for n in range(1, 9)],
+        [1, 2, 6, 20, 58, 141, 297, 561, 975, 1588],
+        FIB_DRIFT,
+    ])
+    def test_on_the_trailing_run_references(self, seq):
+        for max_degree in range(len(seq) - 2):
+            assert_scan_matches_filter(seq, max_degree)

@@ -316,6 +316,33 @@ class TestPersistence:
         with pytest.raises(ValueError, match=f"{path}, line 3: "):
             run_survey_to_file(2, 3, 6, str(path))
 
+    @pytest.mark.parametrize("text, why", [
+        ("1a3", "invalid character 'a' at position 2"),
+        ("113", "not a bijection on 1..3"),
+        ("1,2,x", "invalid literal for int()"),
+        (123, "not a string"),
+    ])
+    def test_bad_pattern_text_names_file_line_and_text(self, tmp_path, text, why):
+        # lines 1 and 2 fill the file's parse table before the bad text on line 3
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(2, 3, 6, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[2])
+        row["class"][0] = text
+        lines[2] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        message = f"{path}, line 3: not a survey record (bad permutation {text!r}: {why}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_survey(str(path))
+
+    def test_records_share_the_parsed_patterns(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(3, 3, 6, str(path))
+        loaded = read_survey(str(path))
+        assert [r.patterns for r in loaded] == [r.patterns for r in enumerate_symmetry_classes(3, 3)]
+        # one tuple per distinct text of the file
+        assert len({id(p) for r in loaded for p in r.patterns}) == len({p for r in loaded for p in r.patterns})
+
     def test_resume_at_other_horizon_rejected(self, tmp_path):
         path = tmp_path / "survey.jsonl"
         run_survey_to_file(2, 3, 6, str(path))
