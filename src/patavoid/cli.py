@@ -264,14 +264,13 @@ def _cmd_survey(args) -> int:
         records = _survey_records(args)
         horizon = _horizon(args, records)
         flagged = polynomial_scan(records, horizon, args.max_degree)
-        texts = {}
         if args.emit == "json":
             _emit_json({
                 "horizon": horizon,
                 "max_degree": args.max_degree,
                 "total": len(flagged),
                 "classes": [
-                    {"class": format_pattern_set(ps, texts), "degree": d} for ps, d in flagged
+                    {"class": format_pattern_set(ps), "degree": d} for ps, d in flagged
                 ],
             })
         elif args.emit == "csv":
@@ -282,7 +281,7 @@ def _cmd_survey(args) -> int:
             for ps, d in flagged:
                 counts = by_class[ps].counts[:horizon]
                 writer.writerow([
-                    " ".join(format_pattern_set(ps, texts)),
+                    " ".join(format_perm(p) for p in ps),
                     " ".join(str(c) for c in counts),
                     d,
                 ])
@@ -290,7 +289,7 @@ def _cmd_survey(args) -> int:
         else:
             _emit(f"polynomial classes (degree 1..{args.max_degree}) at horizon {horizon}: {len(flagged)}")
             for ps, d in flagged:
-                _emit(f"  degree {d}: {{{','.join(format_pattern_set(ps, texts))}}}")
+                _emit(f"  degree {d}: {{{','.join(format_perm(p) for p in ps)}}}")
         return 0
     # no subcommand: run the survey
     if args.out is None:

@@ -560,9 +560,9 @@ def count_avoiders_many(
     budget = _node_budget_for(max_n, node_budget)
     valid: set[Perm] = set()  # each distinct pattern of the call is checked once
     sigmas = [pattern_set(patterns, valid) for patterns in pattern_sets]
-    # filled as each tree is grown, not before, so that no placeholder is live
-    # while the trees grow (0.14 MB for the 1524 classes of 4 length-4 patterns)
-    results: list[CountSequence | BudgetExceededError | None] = [None] * len(sigmas)
+    results: list[CountSequence | BudgetExceededError] = [
+        CountSequence(counts=(0,) * (max_n + 1), patterns=sigma) for sigma in sigmas
+    ]
     rooted = [i for i, sigma in enumerate(sigmas) if () not in sigma]  # the others hold the empty pattern
     for tree, groups, set_masks in _pack_trees(sigmas, rooted):
         counts, failed_at = _grow_shared(_plan(groups), set_masks, max_n, budget)
@@ -571,10 +571,7 @@ def count_avoiders_many(
                 results[i] = _over_budget(budget, failed_at[place])
             else:
                 results[i] = CountSequence(counts=tuple(counts[place].tolist()), patterns=sigmas[i])
-    return [
-        CountSequence(counts=(0,) * (max_n + 1), patterns=sigma) if result is None else result
-        for sigma, result in zip(sigmas, results)
-    ]
+    return results
 
 
 def avoider_rows(

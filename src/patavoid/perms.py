@@ -214,14 +214,12 @@ def pattern_set(patterns: Iterable[Sequence[int]], valid: set[Perm] | None = Non
     >>> pattern_set([(1, 3, 2), (2, 1), (1, 3, 2)])
     ((2, 1), (1, 3, 2))
     """
-    if valid is None:
-        normalized = {perm(p) for p in patterns}
-    else:
-        normalized = set()
-        for p in map(tuple, patterns):
-            if p not in valid:
-                valid.add(perm(p))
-            normalized.add(p)
+    valid = set() if valid is None else valid
+    normalized = set()
+    for p in map(tuple, patterns):
+        if p not in valid:
+            valid.add(perm(p))
+        normalized.add(p)
     return _length_lex(normalized)
 
 
@@ -362,8 +360,7 @@ def format_pattern_set(patterns: Iterable[Sequence[int]], texts: dict[Perm, str]
     a table the caller keeps for one file or call, maps each permutation
     tuple already formatted to its text, so that each is formatted once.
     """
-    if texts is None:
-        return [format_perm(p) for p in patterns]
+    texts = {} if texts is None else texts
     out = []
     for p in patterns:
         text = texts.get(p)
