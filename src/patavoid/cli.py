@@ -39,6 +39,16 @@ class _RunOnly(argparse.Action):
         namespace.run_flags = [*getattr(namespace, "run_flags", []), self.option_strings[0]]
 
 
+class _Unrecognized(argparse.Action):
+    """
+    A flag that is not taken, caught by name: left to argparse, the value
+    after it would be read as the survey subcommand.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"unrecognized arguments: {option_string}")
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
@@ -106,6 +116,7 @@ def build_parser() -> Parser:
     )
     p_survey.add_argument("--out", default=None, action=_RunOnly, help="JSONL output (resumable)")
     p_survey.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET, action=_RunOnly)
+    p_survey.add_argument("--workers", nargs="?", action=_Unrecognized, help=argparse.SUPPRESS)
     ssub = p_survey.add_subparsers(dest="survey_cmd", metavar="SUBCOMMAND")
     p_wilf = ssub.add_parser("wilf", help="fingerprint clustering of a finished survey")
     p_wilf.add_argument("--in", dest="infile", required=True)

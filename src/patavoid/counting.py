@@ -65,7 +65,10 @@ order check and one matmul per chunk of rows for every group that holds it,
 against those groups' gap matrices side by side (``_child_masks``). A set
 can only count masks that miss all its bits, so ``_tally`` splits the sets
 by their two lowest mask bits and tests each part against those masks
-alone.
+alone, in tiles of about 1 MB. Memory follows the widest level: the next
+level is written in place into arrays allocated once, block by block
+(``_grow_shared``), so the 1524 classes peak at about 217 MB at n=12 and
+897 MB at n=13.
 """
 from __future__ import annotations
 
@@ -123,7 +126,9 @@ class CountSequence:
 _DTYPE = np.int16
 # cap on rows * combos * pattern length per chunk, whose k gathered columns
 # are held at once: against 1M, 500k cuts the 820-trial experiment's peak RSS
-# by 3% at no measured cost in time
+# by 3% at no measured cost in time. 250k cut certify's and the experiment's
+# peaks by another 1.2 MB, but counted the 1524 four-pattern classes to n=12
+# about 14% slower (in 4 of 4 alternating runs), so the cap stays at 500k
 _MATCH_CELLS = 500_000
 
 
@@ -361,12 +366,17 @@ def _grow_vector(
     """
     The counts at lengths 0..max_n and, if ``with_level``, the length-max_n
     level as a (count, max_n) int array (else None: counting its rows needs
-    only the kept gaps of the level before it).
+    only the kept gaps of the level before it). An empty level ends the
+    growth: every level below it is empty too.
     """
     roots = 0 if () in patterns else 1  # nothing avoids the empty pattern
     level = np.zeros((roots, 0), dtype=_DTYPE)
     counts = [roots]
     for n in range(max_n):
+        if len(level) == 0:
+            counts += [0] * (max_n - n)
+            level = level.reshape(0, max_n)
+            break
         keep = ~_level_bad_gaps(level, plan)
         counts.append(int(keep.sum()))
         if sum(counts) > budget:
@@ -385,7 +395,11 @@ def _grow_vector(
 
 _MASK_BITS = 64
 _BLOCK_ROWS = 16_384  # parents grown at once
-_TALLY_CELLS = 1 << 20  # cap on (sets x distinct masks) per disjointness test
+# cap on (sets x distinct masks) per disjointness test, so that its uint64,
+# bool and float64 tiles take about 1 MB: against 1 << 20, the 1524 classes
+# to n=9 peak at 6.5 MiB traced, not 14.9, in the same time; 1 << 18 gave
+# the same peak RSS
+_TALLY_CELLS = 1 << 16
 # lowest mask bits by which _tally splits the sets: over the 1524 classes to
 # n=10 it took 0.21 s at 1 bit, 0.14 s at 2 and 0.16-0.20 s at 3
 _PREFIX_BITS = 2
@@ -451,7 +465,9 @@ def _tally(
     takes its nodes past the budget; per distinct mask, whether a set that
     stays within budget still counts it. The sets are split by their lowest
     ``_PREFIX_BITS`` mask bits, and each part is tested only against the
-    distinct masks that miss those bits, the only ones it can count.
+    distinct masks that miss those bits, the only ones it can count, in
+    tiles of at most ``_TALLY_CELLS`` cells (or one set where a set meets
+    more masks than that).
     """
     got = np.zeros(len(set_masks), dtype=np.int64)
     over = np.zeros(len(set_masks), dtype=bool)
@@ -473,7 +489,9 @@ def _tally(
             # exact: every partial sum is an integer below 2**53
             got[chunk] = np.rint(disjoint.astype(np.float64) @ weights)
             over[chunk] = nodes[chunk] + got[chunk] > budget
-            keep[countable] |= disjoint[~over[chunk]].any(axis=0)
+            if over[chunk].any():
+                disjoint = disjoint[~over[chunk]]
+            keep[countable] |= disjoint.any(axis=0)
     return got, over, keep
 
 
@@ -482,7 +500,12 @@ def _grow_shared(
 ) -> tuple[np.ndarray, np.ndarray]:
     """
     Counts (sets, max_n+1) of one shared tree, and per set the length at
-    which its nodes passed the budget (0 if they never did).
+    which its nodes passed the budget (0 if they never did). Each level is
+    grown in blocks of ``_BLOCK_ROWS`` parents, whose child masks are held
+    until ``_tally`` has said which to keep. The next level and its masks
+    are then allocated once, at their kept size, and written block by block
+    in place, each block's masks dropped once its children are written, so
+    no level is ever held twice.
     """
     counts = np.zeros((len(set_masks), max_n + 1), dtype=np.int64)
     counts[:, 0] = 1
@@ -502,18 +525,24 @@ def _grow_shared(
                 blocks.append(child)
         distinct, where = np.unique(np.concatenate([u for u, _ in pieces]), return_inverse=True)
         hist = np.bincount(where, weights=np.concatenate([c for _, c in pieces]))
+        del child, pieces, where  # none is held through the hand-over
         nodes = counts[live, :n + 1].sum(axis=1)
         got, over, keep = _tally(distinct, hist, set_masks[live], nodes, budget)
         counts[live, n + 1] = got
         failed_at[live[over]] = n + 1
         if last:
             break
-        children, child_masks = [], []
-        for b, child in enumerate(blocks):
-            k = keep[np.searchsorted(distinct, child)]
-            children.append(_insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k))
-            child_masks.append(child.T[k.T])  # gap-major, as _insert_max orders the rows
-        level, masks = np.concatenate(children), np.concatenate(child_masks)
+        kept = [keep[np.searchsorted(distinct, child)] for child in blocks]
+        sizes = [int(k.sum()) for k in kept]
+        children = np.empty((sum(sizes), n + 1), dtype=_DTYPE)
+        child_masks = np.empty(sum(sizes), dtype=np.uint64)
+        at = 0
+        for b, (k, size) in enumerate(zip(kept, sizes)):
+            children[at:at + size] = _insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k)
+            child_masks[at:at + size] = blocks[b].T[k.T]  # gap-major, as _insert_max orders the rows
+            blocks[b] = None  # each block's masks go once its children are written
+            at += size
+        level, masks = children, child_masks
     return counts, failed_at
 
 

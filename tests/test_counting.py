@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -310,6 +311,19 @@ class TestKernel:
             calls.clear()
             assert len(enumerate_avoiders([(1, 3, 2)], max_n)) == CATALAN[max_n]
             assert calls == list(range(max_n))
+
+    def test_growth_stops_at_an_empty_level(self, monkeypatch):
+        calls = []
+        real = counting._level_bad_gaps
+        monkeypatch.setattr(counting, "_level_bad_gaps", lambda level, plan: calls.append(len(level)) or real(level, plan))
+        assert count_avoiders([(1, 2), (2, 1)], 9).counts == (1, 1) + (0,) * 8
+        assert calls == [1, 1]  # the levels of length 0 and 1; the one of length 2 is empty
+        calls.clear()
+        assert avoider_rows([(1, 2, 3), (3, 2, 1)], 9).shape == (0, 9)
+        assert calls == [1, 1, 2, 4, 4]
+        assert count_avoiders([()], 4).counts == (0,) * 5 and avoider_rows([()], 4).shape == (0, 4)
+        with pytest.raises(BudgetExceededError, match="budget 11 at length 4"):
+            count_avoiders([(1, 2, 3), (3, 2, 1)], 9, node_budget=11)
 
     def test_insert_max_matches_reference(self):
         # gap by gap and, within a gap, in row order: the order _grow_shared's child masks follow
@@ -625,6 +639,31 @@ class TestCountAvoidersMany:
         got = count_avoiders_many(sets, 10, node_budget=budget)
         for patterns, outcome in zip(sets, got):
             assert same_outcome(outcome, patterns, 10, node_budget=budget), (patterns, outcome)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, counting._BLOCK_ROWS])
+    def test_next_level_written_block_by_block(self, monkeypatch, block_rows):
+        # small blocks write each next level from many blocks, and the sets
+        # that pass the budget drop out on a middle level and on the last
+        monkeypatch.setattr(counting, "_BLOCK_ROWS", block_rows)
+        sets = [[(1, 3, 2)], [(1, 2, 3, 4)], [(1, 2), (2, 1)]] + random_pattern_sets(31, 25, max_patterns=5, lengths=(3, 4))
+        got = count_avoiders_many(sets, 8, node_budget=2000)
+        for patterns, outcome in zip(sets, got):
+            assert same_outcome(outcome, patterns, 8, node_budget=2000), (patterns, outcome)
+        failed_at = {str(e).rsplit(" ", 1)[1] for e in got if isinstance(e, BudgetExceededError)}
+        assert {"7", "8"} <= failed_at
+
+    def test_survey_count_traced_peak(self):
+        # tracemalloc sees numpy's buffers, not the heap's layout, so the
+        # bound holds on any machine: one level's copy held twice, or the
+        # tally's large tiles, would pass it (14.9 MiB before both went)
+        sets = [r.patterns for r in enumerate_symmetry_classes(4, 4)]
+        tracemalloc.start()
+        try:
+            count_avoiders_many(sets, 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
     def test_budget_failures_leave_other_sets_counting(self):
         got = count_avoiders_many([[(1, 3, 2)], [(1, 2), (2, 1)], [(1, 2, 3), (3, 2, 1)]], 10, node_budget=100)
