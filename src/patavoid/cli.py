@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .claims import CLAIMS, run_claim
 from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, avoider_rows, count_avoiders
-from .perms import format_pattern_set, format_perm, format_perm_rows, parse_pattern_list
+from .perms import format_braced, format_pattern_set, format_perm, format_perm_rows, parse_pattern_list
 from .seqanalysis import classify
 from .survey import cluster_fingerprints, polynomial_scan, random_experiment, read_survey, run_survey_to_file
 from .templates import _family_at, certify_avoidance, parse_template_list
@@ -251,7 +251,6 @@ def _cmd_survey(args) -> int:
         clustering = cluster_fingerprints(records, horizon)
         failed = len(clustering.failed)
         if args.emit == "json":
-            texts = {}
             _emit_json({
                 "horizon": horizon,
                 "records": len(records),
@@ -260,7 +259,7 @@ def _cmd_survey(args) -> int:
                 "clusters": [
                     {
                         "counts": list(fp),
-                        "classes": [format_pattern_set(r.patterns, texts) for r in group],
+                        "classes": [format_pattern_set(r.patterns) for r in group],
                     }
                     for fp, group in sorted(clustering.clusters.items())
                 ],
@@ -300,7 +299,7 @@ def _cmd_survey(args) -> int:
         else:
             _emit(f"polynomial classes (degree 1..{args.max_degree}) at horizon {horizon}: {len(flagged)}")
             for ps, d in flagged:
-                _emit(f"  degree {d}: {{{','.join(format_perm(p) for p in ps)}}}")
+                _emit(f"  degree {d}: {format_braced(ps)}")
         return 0
     # no subcommand: run the survey
     if args.out is None:

@@ -587,8 +587,7 @@ def count_avoiders_many(
     [(1, 1, 2, 5, 14), (1, 1, 0, 0, 0)]
     """
     budget = _node_budget_for(max_n, node_budget)
-    valid: set[Perm] = set()  # each distinct pattern of the call is checked once
-    sigmas = [pattern_set(patterns, valid) for patterns in pattern_sets]
+    sigmas = [pattern_set(patterns) for patterns in pattern_sets]
     results: list[CountSequence | BudgetExceededError] = [
         CountSequence(counts=(0,) * (max_n + 1), patterns=sigma) for sigma in sigmas
     ]

@@ -14,16 +14,24 @@ Conventions used throughout the package:
   pattern sets, which is what makes canonical forms deterministic.
 - The text format is compact digits for length <= 9 (``2314``) and
   comma-separated values otherwise (``10,1,2,...``); parsers accept both.
+- Surveys reuse a few patterns very many times, so checking a pattern
+  tuple (``perm``), parsing a text (``parse_perm``) and formatting a
+  tuple (``format_perm``) are each memoized for the process, in bounded
+  memos of immutable values: a distinct pattern is checked, parsed and
+  formatted once while it stays in the memo, and no caller keeps a table.
 """
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 Perm = tuple[int, ...]
 PatternSet = tuple[Perm, ...]
+
+_MEMO_SIZE = 4096  # bounded, since an input file may hold any number of distinct texts
 
 
 def is_perm(values: Sequence[int]) -> bool:
@@ -38,10 +46,14 @@ def is_perm(values: Sequence[int]) -> bool:
 
 def perm(values: Iterable[int]) -> Perm:
     """Validate and freeze one-line notation into a permutation tuple."""
-    p = tuple(values)
+    return _checked(tuple(values))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _checked(p: tuple) -> Perm:
     if not is_perm(p):
         raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
-    return p
+    return tuple(map(int, p))  # one value for all tuples equal to p: (True, 2.0) and (1, 2) give (1, 2)
 
 
 def all_perms(n: int) -> Iterator[Perm]:
@@ -203,24 +215,16 @@ def _length_lex(perms: Iterable[Perm]) -> PatternSet:
     return tuple(sorted(sorted(perms), key=len))
 
 
-def pattern_set(patterns: Iterable[Sequence[int]], valid: set[Perm] | None = None) -> PatternSet:
+def pattern_set(patterns: Iterable[Sequence[int]]) -> PatternSet:
     """
-    Deduplicate and sort patterns length-lexicographically. All pattern-set
-    arguments in this package accept anything iterable; this is the
-    normalized form everything converts to. ``valid``, a set the caller
-    keeps for one call over many sets, holds the patterns already checked,
-    so that each distinct pattern is checked once.
+    Check, deduplicate and sort patterns length-lexicographically. All
+    pattern-set arguments in this package accept anything iterable; this is
+    the normalized form everything converts to.
 
     >>> pattern_set([(1, 3, 2), (2, 1), (1, 3, 2)])
     ((2, 1), (1, 3, 2))
     """
-    valid = set() if valid is None else valid
-    normalized = set()
-    for p in map(tuple, patterns):
-        if p not in valid:
-            valid.add(perm(p))
-        normalized.add(p)
-    return _length_lex(normalized)
+    return _length_lex(set(map(_checked, map(tuple, patterns))))
 
 
 def pattern_set_key(patterns: PatternSet) -> tuple[tuple[int, Perm], ...]:
@@ -284,11 +288,10 @@ def symmetry_classes(num_patterns: int, pattern_length: int) -> Iterator[tuple[P
 # Text format
 # ---------------------------------------------------------------------------
 
-def format_perm(p: Sequence[int]) -> str:
+@lru_cache(maxsize=_MEMO_SIZE)
+def format_perm(p: Perm) -> str:
     """Compact digits for length <= 9, comma-separated values above."""
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
+    return ("" if len(p) <= 9 else ",").join(map("{:d}".format, p))
 
 
 _FORMAT_ROWS = 1 << 15  # rows formatted at once
@@ -331,8 +334,13 @@ def parse_perm(text: str) -> Perm:
     >>> parse_perm("10,1,2,3,4,5,6,7,8,9")[0]
     10
     """
-    if not isinstance(text, str):
+    if not isinstance(text, str):  # before the memo, which cannot hash a list
         raise TypeError(f"bad permutation {text!r}: not a string")
+    return _parsed(text)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _parsed(text: str) -> Perm:
     text = text.strip()
     if text == "":
         return ()
@@ -354,39 +362,33 @@ def parse_perm(text: str) -> Perm:
     return tuple(values)
 
 
-def format_pattern_set(patterns: Iterable[Sequence[int]], texts: dict[Perm, str] | None = None) -> list[str]:
-    """
-    The text forms of the patterns (or permutations), in order. ``texts``,
-    a table the caller keeps for one file or call, maps each permutation
-    tuple already formatted to its text, so that each is formatted once.
-    """
-    texts = {} if texts is None else texts
-    out = []
-    for p in patterns:
-        text = texts.get(p)
-        if text is None:
-            text = texts[p] = format_perm(p)
-        out.append(text)
-    return out
+def format_pattern_set(patterns: Iterable[Sequence[int]]) -> list[str]:
+    """The text forms of the patterns (or permutations), in order."""
+    return list(map(format_perm, map(tuple, patterns)))
 
 
-def parse_pattern_set(texts: Iterable[str], perms: dict[str, Perm]) -> PatternSet:
+def format_braced(patterns: Iterable[Sequence[int]]) -> str:
     """
-    ``pattern_set`` of the permutations the texts parse to. ``perms``, a
-    table the caller keeps for one file or call, maps each text already
-    parsed and checked to its permutation, so that each is parsed once.
+    The ``{a,b}`` text of a pattern set, as messages and reports print it.
 
-    >>> table = {}
-    >>> parse_pattern_set(["132", "21", "132"], table), sorted(table)
-    (((2, 1), (1, 3, 2)), ['132', '21'])
+    >>> format_braced([(2, 1), (1, 3, 2)])
+    '{21,132}'
     """
-    patterns = set()
+    return "{" + ",".join(format_pattern_set(patterns)) + "}"
+
+
+def parse_pattern_set(texts: Iterable[str]) -> PatternSet:
+    """
+    ``pattern_set`` of the permutations the texts parse to.
+
+    >>> parse_pattern_set(["132", "21", "132"])
+    ((2, 1), (1, 3, 2))
+    """
+    texts = list(texts)
     for text in texts:
-        p = perms.get(text)
-        if p is None:
-            p = perms[text] = parse_perm(text)
-        patterns.add(p)
-    return _length_lex(patterns)
+        if not isinstance(text, str):  # parse_perm's check, made here so that each text below is one memo call
+            list(map(parse_perm, texts))  # raises at the first bad text, in order
+    return _length_lex(set(map(_parsed, texts)))
 
 
 def parse_pattern_list(text: str) -> PatternSet:

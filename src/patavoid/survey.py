@@ -21,9 +21,12 @@ verdict included, to a JSON Lines file, one record per line in record
 order, so a rerun resumes by skipping the classes already on disk. Readers
 take the counts, ignore the stored verdict and skip a final line torn by
 an interrupted write, which a resumed survey cuts off. A line
-that does not parse, a stored record counted to another horizon, a stored
-budget failure under another node budget, and a stored class that is not
-one of the survey's are errors naming the file and line.
+that does not parse, a field of another type than the program writes
+(``record_from_json_dict``), a stored record counted to another horizon, a
+stored budget failure under another node budget, and a stored class that
+is not one of the survey's are errors naming the file and line. Pattern
+texts are read and written through the memos of ``perms``, so each
+distinct text is parsed and formatted once per process.
 """
 from __future__ import annotations
 
@@ -36,8 +39,8 @@ from typing import Iterable
 from .counting import DEFAULT_NODE_BUDGET, BudgetExceededError, check_node_budget, count_avoiders, count_avoiders_many
 from .perms import (
     PatternSet,
-    Perm,
     all_perms,
+    format_braced,
     format_pattern_set,
     parse_pattern_set,
     pattern_set,
@@ -66,10 +69,10 @@ class SurveyRecord:
             return None
         return classify(list(self.counts))
 
-    def to_json_dict(self, texts: dict[Perm, str]) -> dict:
-        """The record's JSON object; ``texts`` as in ``perms.format_pattern_set``."""
+    def to_json_dict(self) -> dict:
+        """The record's JSON object, as one line of a survey file."""
         out: dict = {
-            "class": format_pattern_set(self.patterns, texts),
+            "class": format_pattern_set(self.patterns),
             "orbit": self.orbit_size,
         }
         if self.counts is not None:
@@ -107,10 +110,6 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
         SurveyRecord(patterns=patterns, orbit_size=orbit_size)
         for patterns, orbit_size in symmetry_classes(num_patterns, pattern_length)
     ]
-
-
-def _braced(patterns: PatternSet) -> str:
-    return "{" + ",".join(format_pattern_set(patterns)) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,7 @@ def cluster_fingerprints(records: Iterable[SurveyRecord], horizon: int) -> WilfC
         if record.counts is None:
             failed.append(record)
         elif len(record.counts) < horizon:
-            raise ValueError(f"record {_braced(record.patterns)} has fewer than {horizon} counts")
+            raise ValueError(f"record {format_braced(record.patterns)} has fewer than {horizon} counts")
         else:
             clusters.setdefault(tuple(record.counts[:horizon]), []).append(record)
     return WilfClustering(horizon=horizon, clusters=clusters, failed=failed)
@@ -211,7 +210,7 @@ def polynomial_scan(
         if record.counts is None:
             continue
         if len(record.counts) < max_n:
-            raise ValueError(f"record {_braced(record.patterns)} has fewer than {max_n} counts")
+            raise ValueError(f"record {format_braced(record.patterns)} has fewer than {max_n} counts")
         tail = polynomial_tail(record.counts[:max_n], max_degree)
         if tail is not None:
             degree, threshold, _column = tail
@@ -359,27 +358,53 @@ def random_experiment(
 # JSONL persistence
 # ---------------------------------------------------------------------------
 
-def record_from_json_dict(data: dict, perms: dict[str, Perm]) -> SurveyRecord:
-    """The record of a JSON object; ``perms`` as in ``perms.parse_pattern_set``."""
-    patterns = parse_pattern_set(data["class"], perms)
-    record = SurveyRecord(patterns=patterns, orbit_size=int(data["orbit"]))
+def record_from_json_dict(data: dict) -> SurveyRecord:
+    """
+    The record of a JSON object as ``SurveyRecord.to_json_dict`` writes it:
+    ``class`` a list of pattern texts and ``orbit`` an int >= 1, then, if
+    present, ``counts`` a list of ints, ``error`` a string and
+    ``node_budget`` an int. JSON's true and 1.0 are not ints. A missing
+    class or orbit raises KeyError, and a wrong value an error that ends
+    with the field's name.
+    """
+    texts = data["class"]
+    if type(texts) is not list:
+        raise _bad_field("class", texts, "a list of pattern texts")
+    try:
+        patterns = parse_pattern_set(texts)
+    except (TypeError, ValueError) as e:
+        raise type(e)(f"{e}, in field 'class'") from None
+    orbit = data["orbit"]
+    if type(orbit) is not int or orbit < 1:
+        raise _bad_field("orbit", orbit, "an int >= 1")
+    record = SurveyRecord(patterns, orbit)
     if "counts" in data:
-        record.counts = tuple(map(int, data["counts"]))
+        counts = data["counts"]
+        if type(counts) is not list or not {*map(type, counts)} <= {int}:
+            raise _bad_field("counts", counts, "a list of ints")
+        record.counts = tuple(counts)
     if "error" in data:
         record.error = data["error"]
-        record.node_budget = data.get("node_budget")
+        if type(record.error) is not str:
+            raise _bad_field("error", record.error, "a string")
+    if "node_budget" in data:
+        record.node_budget = data["node_budget"]
+        if type(record.node_budget) is not int:
+            raise _bad_field("node_budget", record.node_budget, "an int")
     return record
+
+
+def _bad_field(key: str, value, what: str) -> ValueError:
+    return ValueError(f"{value!r} is not {what}, in field {key!r}")
 
 
 def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
     """
     The records of a survey file with their line numbers, and the byte
-    length of its lines up to a torn final one (without its newline). Each
-    distinct pattern text of the file is parsed once.
+    length of its lines up to a torn final one (without its newline).
     """
     records = []
     complete = 0
-    perms: dict[str, Perm] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.endswith(b"\n"):
@@ -388,7 +413,7 @@ def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
             if not raw.strip():
                 continue
             try:
-                records.append((lineno, record_from_json_dict(json.loads(raw), perms)))
+                records.append((lineno, record_from_json_dict(json.loads(raw))))
             except (KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{path}, line {lineno}: not a survey record ({e})") from None
     return records, complete
@@ -430,7 +455,7 @@ def run_survey_to_file(
         where = f"{out_path}, line {lineno}"
         if prior.patterns not in wanted:
             raise ValueError(
-                f"{where}: class {_braced(prior.patterns)} is not one of the "
+                f"{where}: class {format_braced(prior.patterns)} is not one of the "
                 f"{len(classes)} classes of {num_patterns} patterns of length {pattern_length}"
             )
         if prior.counts is not None and len(prior.counts) != max_n:
@@ -440,10 +465,9 @@ def run_survey_to_file(
             raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {node_budget}")
         done[prior.patterns] = prior
     records = [done.get(record.patterns, record) for record in classes]
-    texts: dict[Perm, str] = {}
     with open(out_path, "a", encoding="utf-8") as fh:
         fh.truncate(complete)
         for record in fill_counts(records, max_n, node_budget=node_budget):
-            fh.write(json.dumps(record.to_json_dict(texts)) + "\n")
+            fh.write(json.dumps(record.to_json_dict()) + "\n")
             fh.flush()
     return records

@@ -35,7 +35,8 @@ confirms the member its answer ends on with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
 the process as read-only (members, n) int16 arrays, rows sorted and
-distinct.
+distinct. A length whose members would take more than FAMILY_CELLS cells
+before the dedupe is refused with ``BudgetExceededError``, not allocated.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CountSequence, _distinct_rows, rows_containing
+from .counting import BudgetExceededError, CountSequence, _distinct_rows, rows_containing
 from .perms import PatternSet, Perm, contains, format_perm, parse_perm, pattern_set, perm
 
 
@@ -160,9 +161,16 @@ def _block_offsets(order: Perm, sizes: Sequence[int]) -> list[int]:
     return offsets
 
 
+FAMILY_CELLS = 1 << 29  # most int16 cells _family allocates for one length's members before the dedupe (1 GiB)
+
+
 @lru_cache(maxsize=None)
 def _family(templates: TemplateSet, n: int) -> np.ndarray:
-    """The length-n members as a read-only (members, n) int16 array, rows sorted and distinct."""
+    """
+    The length-n members as a read-only (members, n) int16 array, rows
+    sorted and distinct. More than FAMILY_CELLS cells before the dedupe
+    raise BudgetExceededError.
+    """
     if n < 2:
         rows = np.ones((1, n), dtype=np.int16)  # () and (1,)
     else:
@@ -171,7 +179,10 @@ def _family(templates: TemplateSet, n: int) -> np.ndarray:
             for t in templates
             for sizes in _subword_sizes(n, t.slots)
         ]
-        rows = np.empty((sum(math.prod(map(len, subs)) for *_, subs in splits), n), dtype=np.int16)
+        total = sum(math.prod(map(len, subs)) for *_, subs in splits)
+        if total * n > FAMILY_CELLS:
+            raise BudgetExceededError(f"{total * n} cells of length-{n} members exceed the template family budget {FAMILY_CELLS}")
+        rows = np.empty((total, n), dtype=np.int16)
         at = 0
         for sizes, offsets, subs in splits:
             counts = [len(sub) for sub in subs]
@@ -296,10 +307,13 @@ def verify_family_avoids(
     max_length: int,
 ) -> tuple[bool, Perm | None]:
     """
-    Brute confirmation that family members avoid the patterns for all
-    lengths up to max_length, independent of any bound. Returns (ok,
-    first witness or None). Used to spot-check certificates past their
-    theorem bound.
+    Whether family members avoid the patterns at every length up to
+    max_length, chosen by the caller rather than by the theorem's bound.
+    Returns (ok, first witness or None). Used to spot-check certificates
+    past their bound. It is not independent of ``certify_avoidance``'s
+    kernel: both run ``_first_witness``, the same ``rows_containing``
+    pass with the same ``perms.contains`` tripwire. The independent
+    reference is ``tests/test_templates.py::scalar_first_witness``.
     """
     witness, _pattern = _first_witness(template_set(templates), pattern_set(patterns), max_length)
     return witness is None, witness

@@ -146,6 +146,15 @@ class TestTemplate:
         assert code == 0
         assert out.strip() == "verified: true (bound 10)"
 
+    def test_certify_past_the_family_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(templates, "FAMILY_CELLS", 5544)
+        templates._family.cache_clear()
+        code, out, err = run(
+            capsys, "template", "certify", "--templates", "14253:10101,15243:10101", "--patterns", "351624"
+        )
+        assert (code, out) == (2, "")
+        assert err == "budget exhausted: 23648 cells of length-8 members exceed the template family budget 5544\n"
+
     def test_certify_json(self, capsys):
         code, out, _ = run(
             capsys,

@@ -684,15 +684,14 @@ class TestCountAvoidersMany:
         for patterns, seq in zip(sets, got):
             assert seq == count_avoiders(patterns, 6), patterns
 
-    def test_each_pattern_checked_once_per_call(self, monkeypatch):
+    def test_each_pattern_checked_once_per_call(self):
+        # and once per process: the check is perms' memo, cleared here
         with pytest.raises(ValueError, match=r"not a permutation of 1..3: \(1, 3, 3\)"):
             count_avoiders_many([[(1, 2)], [(1, 2), (1, 3, 3)]], 4)
-        checked = []
-        real = perms.perm
-        monkeypatch.setattr(perms, "perm", lambda p: checked.append(tuple(p)) or real(p))
+        perms._checked.cache_clear()
         sets = [[(1, 2, 3), (2, 1)], [[2, 1], (1, 3, 2)], [(1, 3, 2), (1, 2, 3)]]
         got = count_avoiders_many(sets, 5)
-        assert sorted(checked) == [(1, 2, 3), (1, 3, 2), (2, 1)]
+        assert perms._checked.cache_info().misses == 3
         assert got == [count_avoiders(s, 5) for s in sets]
 
     def test_no_sets_and_max_n_zero(self):

@@ -16,6 +16,7 @@ from patavoid.perms import (
     canonicalize_set,
     contains,
     flatten,
+    format_braced,
     format_pattern_set,
     format_perm,
     format_perm_rows,
@@ -223,20 +224,25 @@ class TestPatternSets:
         max_size=4,
     ), max_size=5))
     def test_shared_check_table(self, sets):
-        valid = set()
-        assert [pattern_set(s, valid) for s in sets] == [pattern_set(s) for s in sets]
-        assert valid == {p for s in sets for p in s}
+        # the table is perms' process-wide check memo: one miss per distinct pattern
+        perms._checked.cache_clear()
+        got = [pattern_set(s) for s in sets]
+        assert perms._checked.cache_info().misses == len({p for s in sets for p in s})
+        assert got == [tuple(sorted(set(s), key=lambda p: (len(p), p))) for s in sets]
 
-    def test_shared_check_table_still_rejects(self, monkeypatch):
-        valid = set()
-        pattern_set([(1, 2), [2, 1]], valid)
-        with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(2, 2\)"):
-            pattern_set([(1, 2), (2, 2)], valid)
-        # a pattern in the table is not checked again
-        checked = []
-        monkeypatch.setattr(perms, "perm", lambda p: checked.append(p) or tuple(p))
-        pattern_set([(2, 1), (1, 3, 2), (1, 2)], valid)
-        assert checked == [(1, 3, 2)]
+    def test_shared_check_table_still_rejects(self):
+        pattern_set([(1, 2), [2, 1]])
+        for _ in range(2):  # a failed check is not remembered
+            with pytest.raises(ValueError, match=r"not a permutation of 1..2: \(2, 2\)"):
+                pattern_set([(1, 2), (2, 2)])
+        # tuples equal to a permutation all get its one checked value, in ints
+        for values in [(True, 2.0), (1, 2), np.array([1, 2])]:
+            got = perm(values)
+            assert got == (1, 2) and {type(v) for v in got} == {int}
+
+    def test_memos_are_bounded(self):
+        for memo in (perms._checked, perms._parsed, perms.format_perm):
+            assert memo.cache_info().maxsize == perms._MEMO_SIZE < 10**4
 
     def test_orbit_sizes_divide_eight(self):
         rng = random.Random(5)
@@ -269,29 +275,41 @@ class TestTextFormat:
             assert got == [format_perm(pi) for pi in rows], (n, count)
 
     def test_pattern_set_texts_through_tables(self):
-        texts, table = {}, {}
+        # the tables are perms' process-wide memos, one per direction
+        perms.format_perm.cache_clear()
+        perms._parsed.cache_clear()
         sets = [((1, 2), (2, 1)), ((2, 1), tuple(range(10, 0, -1)))]
-        formatted = [format_pattern_set(s, texts) for s in sets]
-        assert formatted == [format_pattern_set(s) for s in sets] == [
-            ["12", "21"], ["21", "10,9,8,7,6,5,4,3,2,1"],
-        ]
-        assert list(texts) == [(1, 2), (2, 1), tuple(range(10, 0, -1))]
-        assert [parse_pattern_set(reversed(f), table) for f in formatted] == sets
-        assert table == {text: p for p, text in texts.items()}
-        assert parse_pattern_set(["21", "21", ""], table) == ((), (2, 1))
+        formatted = [format_pattern_set(s) for s in sets]
+        assert formatted == [["12", "21"], ["21", "10,9,8,7,6,5,4,3,2,1"]]
+        assert perms.format_perm.cache_info().misses == 3  # each distinct tuple formatted once
+        assert [parse_pattern_set(reversed(f)) for f in formatted] == sets
+        assert parse_pattern_set(["21", "21", ""]) == ((), (2, 1))
+        assert perms._parsed.cache_info().misses == 4  # each distinct text parsed once
+        assert [format_braced(s) for s in sets] == ["{12,21}", "{21,10,9,8,7,6,5,4,3,2,1}"]
 
     @pytest.mark.parametrize("text, match", [
         ("1x2", "'1x2': invalid character 'x' at position 2"),
         ("212", "'212': not a bijection on 1..3"),
         ("1,,2", "'1,,2': invalid literal"),
         (12, "12: not a string"),
+        ([2, 1], r"\[2, 1\]: not a string"),
     ])
     def test_parse_table_errors_name_the_text(self, text, match):
-        table = {}
-        parse_pattern_set(["12", "21"], table)
-        with pytest.raises((TypeError, ValueError), match=match):
-            parse_pattern_set(["12", text], table)
-        assert list(table) == ["12", "21"]
+        parse_pattern_set(["12", "21"])
+        cached = perms._parsed.cache_info().currsize
+        error = TypeError if match.endswith("not a string") else ValueError
+        for _ in range(2):  # a bad text is never cached, so it fails the same way again
+            with pytest.raises(error, match=match):
+                parse_pattern_set(["12", text])
+            with pytest.raises(error, match=match):
+                parse_perm(text)
+        assert perms._parsed.cache_info().currsize == cached
+
+    def test_parse_set_names_its_first_bad_text(self):
+        with pytest.raises(ValueError, match="'1x'"):
+            parse_pattern_set(["12", "1x", 12])
+        with pytest.raises(TypeError, match="12: not a string"):
+            parse_pattern_set(iter(["12", 12, "1x"]))
 
     def test_bad_character_names_position(self):
         with pytest.raises(ValueError, match="position 5"):

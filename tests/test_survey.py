@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -323,7 +324,7 @@ class TestPersistence:
         (123, "not a string"),
     ])
     def test_bad_pattern_text_names_file_line_and_text(self, tmp_path, text, why):
-        # lines 1 and 2 fill the file's parse table before the bad text on line 3
+        # lines 1 and 2 fill the parse memo before the bad text on line 3
         path = tmp_path / "survey.jsonl"
         run_survey_to_file(2, 3, 6, str(path))
         lines = path.read_text().splitlines(keepends=True)
@@ -334,6 +335,41 @@ class TestPersistence:
         message = f"{path}, line 3: not a survey record (bad permutation {text!r}: {why}"
         with pytest.raises(ValueError, match=re.escape(message)):
             read_survey(str(path))
+
+    @pytest.mark.parametrize("field, value, why", [
+        ("class", "1", "'1' is not a list of pattern texts, in field 'class'"),
+        ("class", "1234", "'1234' is not a list of pattern texts, in field 'class'"),
+        ("class", {"12": 1}, "{'12': 1} is not a list of pattern texts, in field 'class'"),
+        ("class", ["12", [2, 1]], "bad permutation [2, 1]: not a string, in field 'class'"),
+        ("class", ["12", "1x"], "bad permutation '1x': invalid character 'x' at position 2, in field 'class'"),
+        ("orbit", 1.9, "1.9 is not an int >= 1, in field 'orbit'"),
+        ("orbit", True, "True is not an int >= 1, in field 'orbit'"),
+        ("orbit", 0, "0 is not an int >= 1, in field 'orbit'"),
+        ("orbit", "4", "'4' is not an int >= 1, in field 'orbit'"),
+        ("counts", [1.5, "2", True, 1], "[1.5, '2', True, 1] is not a list of ints, in field 'counts'"),
+        ("counts", [1, True], "[1, True] is not a list of ints, in field 'counts'"),
+        ("counts", "1,2", "'1,2' is not a list of ints, in field 'counts'"),
+        ("error", 3, "3 is not a string, in field 'error'"),
+        ("node_budget", 30.0, "30.0 is not an int, in field 'node_budget'"),
+        ("node_budget", None, "None is not an int, in field 'node_budget'"),
+        ("node_budget", False, "False is not an int, in field 'node_budget'"),
+    ])
+    def test_fields_are_read_strictly(self, tmp_path, field, value, why):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(2, 3, 6, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        row = json.loads(lines[1])
+        row[field] = value
+        lines[1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 2: not a survey record ({why})")):
+            read_survey(str(path))
+
+    def test_survey4x4_bytes(self, tmp_path):
+        # the 1524 classes of four length-4 patterns to n=10, as every change so far has written them
+        path = tmp_path / "survey4x4.jsonl"
+        run_survey_to_file(4, 4, 10, str(path))
+        assert hashlib.md5(path.read_bytes()).hexdigest() == "8c70c18ce32e64377d0bfb362e63b81d"
 
     def test_records_share_the_parsed_patterns(self, tmp_path):
         path = tmp_path / "survey.jsonl"

@@ -1,10 +1,12 @@
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
 
-from patavoid.counting import count_avoiders, enumerate_avoiders
+from patavoid import templates
+from patavoid.counting import BudgetExceededError, count_avoiders, enumerate_avoiders
 from patavoid.perms import all_perms, contains, flatten, is_perm, parse_pattern_list, pattern_set
 from patavoid.templates import (
     Template,
@@ -265,6 +267,30 @@ class TestCertification:
     def test_verify_finds_witness(self):
         ok, witness = verify_family_avoids([template((1, 2), "11")], [(1, 2)], 4)
         assert not ok and witness == (1, 2)
+
+
+class TestFamilyBudget:
+    def test_length_past_the_budget_refused(self, monkeypatch):
+        # the pair family's lengths 7 and 8 take 792 x 7 = 5544 and 2956 x 8 = 23648 cells before the dedupe
+        monkeypatch.setattr(templates, "FAMILY_CELLS", 5544)
+        templates._family.cache_clear()
+        assert len(generate_family(T_PAIR, 7)) == 792
+        message = "23648 cells of length-8 members exceed the template family budget 5544"
+        for _ in range(2):  # nothing is cached from the refused length
+            with pytest.raises(BudgetExceededError, match=message):
+                certify_avoidance(T_PAIR, [(3, 5, 1, 6, 2, 4)])
+        monkeypatch.setattr(templates, "FAMILY_CELLS", 23648)
+        assert len(generate_family(T_PAIR, 8)) == 2956
+
+    def test_pair_family_refused_at_15(self):
+        # the pair family has three_segment_counts(variants=2) members, with no repeats before the dedupe
+        sizes = three_segment_counts(15, variants=2).counts
+        cells = {
+            n: n * sum(math.prod(sizes[k] for k in split) for t in T_PAIR for split in templates._subword_sizes(n, t.slots))
+            for n in (8, 14, 15)
+        }
+        assert cells == {8: 23648, 14: 155086848, 15: 676344960}
+        assert cells[14] <= templates.FAMILY_CELLS < cells[15]
 
 
 def scalar_first_witness(templates, patterns, max_length):
