@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -49,12 +48,6 @@ class _Unrecognized(argparse.Action):
         parser.error(f"unrecognized arguments: {option_string}")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 def _emit_lines(lines: list[str]) -> None:
     # blocks of lines, not one write: a write far past stdout's buffer that a
     # closed pipe cuts short returns as if it were whole, with no error
@@ -63,7 +56,7 @@ def _emit_lines(lines: list[str]) -> None:
 
 
 def _emit_json(data) -> None:
-    _emit(json.dumps(data, separators=(", ", ": ")))
+    _emit_lines([json.dumps(data, separators=(", ", ": "))])
 
 
 def _parse_seq(text: str) -> list[int]:
@@ -80,9 +73,11 @@ def _parse_seq(text: str) -> list[int]:
 
 def build_parser() -> Parser:
     parser = Parser(prog="patavoid", description=__doc__)
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.set_defaults(handler=lambda _: parser.print_help() or 1)  # no command
+    sub = parser.add_subparsers(metavar="COMMAND")
 
     p_count = sub.add_parser("count", help="count avoiders of a pattern set")
+    p_count.set_defaults(handler=_cmd_count)
     p_count.add_argument("--patterns", required=True, help="e.g. 1234,1243,1342,4231")
     p_count.add_argument("--max-n", type=int, required=True)
     p_count.add_argument("--emit", choices=["text", "json", "csv"], default="text")
@@ -91,22 +86,27 @@ def build_parser() -> Parser:
     p_count.add_argument("--enumerate", action="store_true", help="list the avoiders of length max-n")
 
     p_template = sub.add_parser("template", help="template family operations")
-    tsub = p_template.add_subparsers(dest="template_cmd", metavar="SUBCOMMAND")
+    p_template.set_defaults(handler=_cmd_template)
+    tsub = p_template.add_subparsers(metavar="SUBCOMMAND")
     p_gen = tsub.add_parser("gen", help="generate the length-n family members")
+    p_gen.set_defaults(handler=_cmd_template_gen)
     p_gen.add_argument("--templates", required=True, help="e.g. 231:101 or 14253:10101,15243:10101")
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--emit", choices=["text", "json"], default="text")
     p_cert = tsub.add_parser("certify", help="certify the family avoids a pattern set")
+    p_cert.set_defaults(handler=_cmd_template_certify)
     p_cert.add_argument("--templates", required=True)
     p_cert.add_argument("--patterns", required=True)
     p_cert.add_argument("--emit", choices=["text", "json"], default="text")
 
     p_analyze = sub.add_parser("analyze", help="classify an integer sequence")
+    p_analyze.set_defaults(handler=_cmd_analyze)
     p_analyze.add_argument("--seq", required=True, help="comma-separated integers, first term is index 0")
     p_analyze.add_argument("--max-degree", type=int, default=7)
     p_analyze.add_argument("--emit", choices=["text", "json"], default="json")
 
     p_survey = sub.add_parser("survey", help="symmetry-class survey campaigns")
+    p_survey.set_defaults(handler=_cmd_survey)
     p_survey.add_argument("--num-patterns", type=int, default=4, action=_RunOnly)
     p_survey.add_argument("--pattern-length", type=int, default=4, action=_RunOnly)
     # one horizon on either side of wilf/polyscan: the subcommands' --max-n
@@ -119,16 +119,19 @@ def build_parser() -> Parser:
     p_survey.add_argument("--workers", nargs="?", action=_Unrecognized, help=argparse.SUPPRESS)
     ssub = p_survey.add_subparsers(dest="survey_cmd", metavar="SUBCOMMAND")
     p_wilf = ssub.add_parser("wilf", help="fingerprint clustering of a finished survey")
+    p_wilf.set_defaults(handler=_cmd_wilf)
     p_wilf.add_argument("--in", dest="infile", required=True)
     p_wilf.add_argument("--max-n", type=int, default=argparse.SUPPRESS, help="horizon (default: full stored counts)")
     p_wilf.add_argument("--emit", choices=["text", "json"], default="text")
     p_scan = ssub.add_parser("polyscan", help="polynomial classes of a finished survey")
+    p_scan.set_defaults(handler=_cmd_polyscan)
     p_scan.add_argument("--in", dest="infile", required=True)
     p_scan.add_argument("--max-degree", type=int, default=7)
     p_scan.add_argument("--max-n", type=int, default=argparse.SUPPRESS, help="horizon (default: full stored counts)")
     p_scan.add_argument("--emit", choices=["text", "json", "csv"], default="text")
 
     p_exp = sub.add_parser("experiment", help="random pattern-set classification experiment")
+    p_exp.set_defaults(handler=_cmd_experiment)
     p_exp.add_argument("--num-patterns", type=int, required=True)
     p_exp.add_argument("--max-n", type=int, required=True)
     p_exp.add_argument("--trials", type=int, required=True)
@@ -137,6 +140,7 @@ def build_parser() -> Parser:
     p_exp.add_argument("--emit", choices=["text", "json"], default="text")
 
     p_rep = sub.add_parser("reproduce", help="run a named reproduction check")
+    p_rep.set_defaults(handler=_cmd_reproduce)
     p_rep.add_argument("claim", help=f"one of: {', '.join(sorted(CLAIMS))}")
 
     return parser
@@ -159,56 +163,55 @@ def _cmd_count(args) -> int:
             "max_n": args.max_n,
         })
     elif args.emit == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["n", "count"])
-        start = 1 if args.from_one else 0
-        for n, c in enumerate(counts, start=start):
-            writer.writerow([n, c])
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(enumerate(counts, start=1 if args.from_one else 0))
     else:
-        _emit(",".join(str(c) for c in counts))
+        _emit_lines([",".join(map(str, counts))])
     return 0
 
 
 def _cmd_template(args) -> int:
-    if args.template_cmd == "gen":
-        templates = parse_template_list(args.templates)
-        if args.n < 0:
-            raise ValueError("n must be >= 0")
-        members = format_perm_rows(_family_at(templates, args.n))
-        if args.emit == "json":
-            _emit_json({
-                "templates": [str(t) for t in templates],
-                "n": args.n,
-                "size": len(members),
-                "members": members,
-            })
-        else:
-            _emit_lines(members)
-        return 0
-    if args.template_cmd == "certify":
-        templates = parse_template_list(args.templates)
-        patterns = parse_pattern_list(args.patterns)
-        cert = certify_avoidance(templates, patterns)
-        if args.emit == "json":
-            _emit_json({
-                "templates": [str(t) for t in cert.templates],
-                "patterns": format_pattern_set(cert.patterns),
-                "bound": cert.bound,
-                "verified": cert.verified,
-                "witness": None if cert.witness is None else format_perm(cert.witness),
-            })
-        else:
-            if cert.verified:
-                _emit(f"verified: true (bound {cert.bound})")
-            else:
-                _emit(
-                    f"verified: false (bound {cert.bound}, witness {format_perm(cert.witness)} "
-                    f"of length {cert.witness_length} contains {format_perm(cert.witness_pattern)})"
-                )
-        return 0
     raise ValueError("template requires a subcommand: gen or certify")
+
+
+def _cmd_template_gen(args) -> int:
+    templates = parse_template_list(args.templates)
+    if args.n < 0:
+        raise ValueError("n must be >= 0")
+    members = format_perm_rows(_family_at(templates, args.n))
+    if args.emit == "json":
+        _emit_json({
+            "templates": [str(t) for t in templates],
+            "n": args.n,
+            "size": len(members),
+            "members": members,
+        })
+    else:
+        _emit_lines(members)
+    return 0
+
+
+def _cmd_template_certify(args) -> int:
+    templates = parse_template_list(args.templates)
+    patterns = parse_pattern_list(args.patterns)
+    cert = certify_avoidance(templates, patterns)
+    if args.emit == "json":
+        _emit_json({
+            "templates": [str(t) for t in cert.templates],
+            "patterns": format_pattern_set(cert.patterns),
+            "bound": cert.bound,
+            "verified": cert.verified,
+            "witness": None if cert.witness is None else format_perm(cert.witness),
+        })
+    elif cert.verified:
+        _emit_lines([f"verified: true (bound {cert.bound})"])
+    else:
+        _emit_lines([
+            f"verified: false (bound {cert.bound}, witness {format_perm(cert.witness)} "
+            f"of length {cert.witness_length} contains {format_perm(cert.witness_pattern)})"
+        ])
+    return 0
 
 
 def _cmd_analyze(args) -> int:
@@ -222,86 +225,29 @@ def _cmd_analyze(args) -> int:
         fields = report.to_json_dict()
         verdict = fields.pop("verdict")
         rest = " ".join(f"{k}={v}" for k, v in fields.items())
-        _emit(f"{verdict}{' ' + rest if rest else ''}")
+        _emit_lines([f"{verdict}{' ' + rest if rest else ''}"])
     return 0
 
 
-def _survey_records(args):
+def _finished_survey(args):
+    """
+    The records of the finished survey at --in and the horizon to read them
+    at: --max-n, or else the fewest counts a record carries.
+    """
+    if getattr(args, "run_flags", None):
+        raise ValueError(f"{args.run_flags[0]} applies to a survey run, not to survey {args.survey_cmd}")
     records = read_survey(args.infile)
     if not records:
         raise ValueError(f"no survey records in {args.infile}")
-    return records
-
-
-def _horizon(args, records) -> int:
     if args.max_n is not None:
-        return args.max_n
+        return records, args.max_n
     lengths = [len(r.counts) for r in records if r.counts]
     if not lengths:
         raise ValueError("no record in the survey carries counts")
-    return min(lengths)
+    return records, min(lengths)
 
 
 def _cmd_survey(args) -> int:
-    if args.survey_cmd and getattr(args, "run_flags", None):
-        raise ValueError(f"{args.run_flags[0]} applies to a survey run, not to survey {args.survey_cmd}")
-    if args.survey_cmd == "wilf":
-        records = _survey_records(args)
-        horizon = _horizon(args, records)
-        clustering = cluster_fingerprints(records, horizon)
-        failed = len(clustering.failed)
-        if args.emit == "json":
-            _emit_json({
-                "horizon": horizon,
-                "records": len(records),
-                "failed": failed,
-                "distinct_fingerprints": clustering.num_distinct,
-                "clusters": [
-                    {
-                        "counts": list(fp),
-                        "classes": [format_pattern_set(r.patterns) for r in group],
-                    }
-                    for fp, group in sorted(clustering.clusters.items())
-                ],
-            })
-        else:
-            _emit(
-                f"records: {len(records)}  failed: {failed}  horizon: {horizon}  "
-                f"distinct fingerprints (Wilf lower bound): {clustering.num_distinct}"
-            )
-        return 0
-    if args.survey_cmd == "polyscan":
-        records = _survey_records(args)
-        horizon = _horizon(args, records)
-        flagged = polynomial_scan(records, horizon, args.max_degree)
-        if args.emit == "json":
-            _emit_json({
-                "horizon": horizon,
-                "max_degree": args.max_degree,
-                "total": len(flagged),
-                "classes": [
-                    {"class": format_pattern_set(ps), "degree": d} for ps, d in flagged
-                ],
-            })
-        elif args.emit == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(["patterns", "counts", "degree"])
-            by_class = {r.patterns: r for r in records}
-            for ps, d in flagged:
-                counts = by_class[ps].counts[:horizon]
-                writer.writerow([
-                    " ".join(format_perm(p) for p in ps),
-                    " ".join(str(c) for c in counts),
-                    d,
-                ])
-            sys.stdout.write(buf.getvalue())
-        else:
-            _emit(f"polynomial classes (degree 1..{args.max_degree}) at horizon {horizon}: {len(flagged)}")
-            for ps, d in flagged:
-                _emit(f"  degree {d}: {format_braced(ps)}")
-        return 0
-    # no subcommand: run the survey
     if args.out is None:
         raise ValueError("survey run requires --out (or use the wilf/polyscan subcommands)")
     max_n = 10 if args.max_n is None else args.max_n
@@ -313,10 +259,64 @@ def _cmd_survey(args) -> int:
         node_budget=args.node_budget,
     )
     failed = sum(1 for r in records if r.error is not None)
-    _emit(
+    _emit_lines([
         f"surveyed {len(records)} symmetry classes of {args.num_patterns} patterns "
         f"of length {args.pattern_length} to n={max_n} ({failed} budget failures) -> {args.out}"
-    )
+    ])
+    return 0
+
+
+def _cmd_wilf(args) -> int:
+    records, horizon = _finished_survey(args)
+    clustering = cluster_fingerprints(records, horizon)
+    failed = len(clustering.failed)
+    if args.emit == "json":
+        _emit_json({
+            "horizon": horizon,
+            "records": len(records),
+            "failed": failed,
+            "distinct_fingerprints": clustering.num_distinct,
+            "clusters": [
+                {
+                    "counts": list(fp),
+                    "classes": [format_pattern_set(r.patterns) for r in group],
+                }
+                for fp, group in sorted(clustering.clusters.items())
+            ],
+        })
+    else:
+        _emit_lines([
+            f"records: {len(records)}  failed: {failed}  horizon: {horizon}  "
+            f"distinct fingerprints (Wilf lower bound): {clustering.num_distinct}"
+        ])
+    return 0
+
+
+def _cmd_polyscan(args) -> int:
+    records, horizon = _finished_survey(args)
+    flagged = polynomial_scan(records, horizon, args.max_degree)
+    if args.emit == "json":
+        _emit_json({
+            "horizon": horizon,
+            "max_degree": args.max_degree,
+            "total": len(flagged),
+            "classes": [
+                {"class": format_pattern_set(ps), "degree": d} for ps, d in flagged
+            ],
+        })
+    elif args.emit == "csv":
+        by_class = {r.patterns: r for r in records}
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["patterns", "counts", "degree"])
+        writer.writerows(
+            [" ".join(format_pattern_set(ps)), " ".join(map(str, by_class[ps].counts[:horizon])), d]
+            for ps, d in flagged
+        )
+    else:
+        _emit_lines([
+            f"polynomial classes (degree 1..{args.max_degree}) at horizon {horizon}: {len(flagged)}",
+            *(f"  degree {d}: {format_braced(ps)}" for ps, d in flagged),
+        ])
     return 0
 
 
@@ -331,23 +331,20 @@ def _cmd_experiment(args) -> int:
     if args.emit == "json":
         _emit_json(result.to_json_dict())
     else:
-        _emit(
+        buckets = result.bucket_counts
+        _emit_lines([
             f"{args.trials} trials of {args.num_patterns} random patterns, counts to n={args.max_n}, "
-            f"seed {args.seed}:"
-        )
-        for bucket, count in result.bucket_counts.items():
-            _emit(f"  {bucket:15s} {count:6d}  ({count / args.trials:6.1%})")
-        nonpoly = result.bucket_counts["non_polynomial"]
-        _emit(f"  fib-like among non-polynomial: {result.fib_like_nonpoly}/{nonpoly}")
+            f"seed {args.seed}:",
+            *(f"  {bucket:15s} {count:6d}  ({count / args.trials:6.1%})" for bucket, count in buckets.items()),
+            f"  fib-like among non-polynomial: {result.fib_like_nonpoly}/{buckets['non_polynomial']}",
+        ])
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     result = run_claim(args.claim)
     status = "PASS" if result.passed else "FAIL"
-    _emit(f"{status} {result.claim}")
-    for line in result.lines:
-        _emit(f"  {line}")
+    _emit_lines([f"{status} {result.claim}", *(f"  {line}" for line in result.lines)])
     return 0 if result.passed else 1
 
 
@@ -355,18 +352,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            parser.print_help()
-            return 1
-        handler = {
-            "count": _cmd_count,
-            "template": _cmd_template,
-            "analyze": _cmd_analyze,
-            "survey": _cmd_survey,
-            "experiment": _cmd_experiment,
-            "reproduce": _cmd_reproduce,
-        }[args.command]
-        code = handler(args)
+        code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout shows here, not at exit
         return code
     except BrokenPipeError:

@@ -268,8 +268,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     each row's index among them (int32). Up to ``_KEY_ENTRIES`` (16)
     entries, each row packs into one uint64 key at 4 bits per entry, its
     first entry highest, so key order is row order and one sort dedupes;
-    keys are built and decoded column by column. Longer rows are sorted by
-    ``np.lexsort``.
+    keys are built column by column. Longer rows are sorted by
+    ``np.lexsort``. Either way the distinct rows are one gather of the
+    first row of each run.
 
     >>> distinct, inverse = _distinct_rows(np.array([[2, 1], [1, 2], [2, 1]]))
     >>> distinct.tolist(), inverse.tolist()
@@ -278,24 +279,17 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     count, n = rows.shape
     if n > _KEY_ENTRIES:
         order = np.lexsort(rows.T[::-1])
-        distinct = rows[order]
-        fresh = np.ones(count, dtype=bool)
-        fresh[1:] = (distinct[1:] != distinct[:-1]).any(axis=1)
-        distinct = distinct[fresh]
+        ordered = rows[order]
     else:
         key = np.zeros(count, dtype=np.uint64)
         for column in rows.T:
             key <<= np.uint64(4)
             key |= (column - 1).astype(np.uint64)
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        fresh = np.ones(count, dtype=bool)
-        fresh[1:] = key[1:] != key[:-1]
-        key = key[fresh]
-        distinct = np.empty((len(key), n), dtype=_DTYPE)
-        for j in range(n):
-            distinct[:, j] = (key >> np.uint64(4 * (n - 1 - j))) & np.uint64(15)
-        distinct += 1
+        ordered = key[order, None]
+    fresh = np.ones(count, dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    distinct = rows[order[fresh]]
     inverse = np.empty(count, dtype=np.int32)
     index = np.cumsum(fresh, dtype=np.int32)
     index -= 1
@@ -532,16 +526,18 @@ def _grow_shared(
         failed_at[live[over]] = n + 1
         if last:
             break
-        kept = [keep[np.searchsorted(distinct, child)] for child in blocks]
-        sizes = [int(k.sum()) for k in kept]
-        children = np.empty((sum(sizes), n + 1), dtype=_DTYPE)
-        child_masks = np.empty(sum(sizes), dtype=np.uint64)
+        size = int(hist[keep].sum())  # the kept children, summed over the kept masks
+        children = np.empty((size, n + 1), dtype=_DTYPE)
+        child_masks = np.empty(size, dtype=np.uint64)
         at = 0
-        for b, (k, size) in enumerate(zip(kept, sizes)):
-            children[at:at + size] = _insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k)
-            child_masks[at:at + size] = blocks[b].T[k.T]  # gap-major, as _insert_max orders the rows
-            blocks[b] = None  # each block's masks go once its children are written
-            at += size
+        for b in range(len(blocks)):
+            child, blocks[b] = blocks[b], None  # each block's masks go once its children are written
+            k = keep[np.searchsorted(distinct, child)]
+            written = _insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k)
+            children[at:at + len(written)] = written
+            child_masks[at:at + len(written)] = child.T[k.T]  # gap-major, as _insert_max orders the rows
+            at += len(written)
+        del child, k, written
         level, masks = children, child_masks
     return counts, failed_at
 

@@ -16,9 +16,10 @@ Conventions used throughout the package:
   comma-separated values otherwise (``10,1,2,...``); parsers accept both.
 - Surveys reuse a few patterns very many times, so checking a pattern
   tuple (``perm``), parsing a text (``parse_perm``) and formatting a
-  tuple (``format_perm``) are each memoized for the process, in bounded
-  memos of immutable values: a distinct pattern is checked, parsed and
-  formatted once while it stays in the memo, and no caller keeps a table.
+  permutation (``format_perm``, keyed on its tuple) are each memoized for
+  the process, in bounded memos of immutable values: a distinct pattern is
+  checked, parsed and formatted once while it stays in the memo, and no
+  caller keeps a table.
 """
 from __future__ import annotations
 
@@ -288,9 +289,18 @@ def symmetry_classes(num_patterns: int, pattern_length: int) -> Iterator[tuple[P
 # Text format
 # ---------------------------------------------------------------------------
 
+def format_perm(p: Sequence[int]) -> str:
+    """
+    Compact digits for length <= 9, comma-separated values above.
+
+    >>> format_perm([2, 3, 1]), format_perm(np.arange(10, 0, -1))
+    ('231', '10,9,8,7,6,5,4,3,2,1')
+    """
+    return _formatted(tuple(p))
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
-def format_perm(p: Perm) -> str:
-    """Compact digits for length <= 9, comma-separated values above."""
+def _formatted(p: tuple) -> str:
     return ("" if len(p) <= 9 else ",").join(map("{:d}".format, p))
 
 
@@ -364,7 +374,7 @@ def _parsed(text: str) -> Perm:
 
 def format_pattern_set(patterns: Iterable[Sequence[int]]) -> list[str]:
     """The text forms of the patterns (or permutations), in order."""
-    return list(map(format_perm, map(tuple, patterns)))
+    return list(map(format_perm, patterns))
 
 
 def format_braced(patterns: Iterable[Sequence[int]]) -> str:
@@ -384,11 +394,7 @@ def parse_pattern_set(texts: Iterable[str]) -> PatternSet:
     >>> parse_pattern_set(["132", "21", "132"])
     ((2, 1), (1, 3, 2))
     """
-    texts = list(texts)
-    for text in texts:
-        if not isinstance(text, str):  # parse_perm's check, made here so that each text below is one memo call
-            list(map(parse_perm, texts))  # raises at the first bad text, in order
-    return _length_lex(set(map(_parsed, texts)))
+    return _length_lex(set(map(parse_perm, texts)))
 
 
 def parse_pattern_list(text: str) -> PatternSet:

@@ -177,6 +177,9 @@ class TestTemplate:
         code, _, err = run(capsys, "template")
         assert code == 1 and "subcommand" in err
 
+    def test_missing_subcommand_message(self, capsys):
+        assert run(capsys, "template") == (1, "", "error: template requires a subcommand: gen or certify\n")
+
 
 class TestAnalyze:
     def test_fib_like_json(self, capsys):
@@ -404,6 +407,9 @@ class TestParsing:
     def test_no_command_shows_help(self, capsys):
         code, out, _ = run(capsys)
         assert code == 1 and "COMMAND" in out
+
+    def test_no_command_prints_exactly_the_help(self, capsys):
+        assert run(capsys) == (1, cli.build_parser().format_help(), "")
 
     def test_bad_flag(self, capsys):
         code, _, err = run(capsys, "count", "--paterns", "132", "--max-n", "3")

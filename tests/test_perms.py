@@ -241,7 +241,7 @@ class TestPatternSets:
             assert got == (1, 2) and {type(v) for v in got} == {int}
 
     def test_memos_are_bounded(self):
-        for memo in (perms._checked, perms._parsed, perms.format_perm):
+        for memo in (perms._checked, perms._parsed, perms._formatted):
             assert memo.cache_info().maxsize == perms._MEMO_SIZE < 10**4
 
     def test_orbit_sizes_divide_eight(self):
@@ -264,6 +264,12 @@ class TestTextFormat:
         assert "," in text
         assert parse_perm(text) == pi
 
+    def test_any_sequence_formats_alike(self):
+        # the memo is keyed on the tuple, so a list or a numpy row is not hashed itself
+        for pi, text in [((2, 3, 1), "231"), (tuple(range(10, 0, -1)), "10,9,8,7,6,5,4,3,2,1")]:
+            for p in (pi, list(pi), np.array(pi, dtype=np.int16)):
+                assert format_perm(p) == text
+
     @pytest.mark.parametrize("n", [0, 1, 2, 9, 10, 11, 12, 20, 100])
     def test_rows_in_bulk(self, n, monkeypatch):
         # blocks of 7 rows: the last block is short, and 0 rows make none
@@ -276,12 +282,12 @@ class TestTextFormat:
 
     def test_pattern_set_texts_through_tables(self):
         # the tables are perms' process-wide memos, one per direction
-        perms.format_perm.cache_clear()
+        perms._formatted.cache_clear()
         perms._parsed.cache_clear()
         sets = [((1, 2), (2, 1)), ((2, 1), tuple(range(10, 0, -1)))]
         formatted = [format_pattern_set(s) for s in sets]
         assert formatted == [["12", "21"], ["21", "10,9,8,7,6,5,4,3,2,1"]]
-        assert perms.format_perm.cache_info().misses == 3  # each distinct tuple formatted once
+        assert perms._formatted.cache_info().misses == 3  # each distinct tuple formatted once
         assert [parse_pattern_set(reversed(f)) for f in formatted] == sets
         assert parse_pattern_set(["21", "21", ""]) == ((), (2, 1))
         assert perms._parsed.cache_info().misses == 4  # each distinct text parsed once
