@@ -65,10 +65,13 @@ order check and one matmul per chunk of rows for every group that holds it,
 against those groups' gap matrices side by side (``_child_masks``). A set
 can only count masks that miss all its bits, so ``_tally`` splits the sets
 by their two lowest mask bits and tests each part against those masks
-alone, in tiles of about 1 MB. Memory follows the widest level: the next
-level is written in place into arrays allocated once, block by block
-(``_grow_shared``), so the 1524 classes peak at about 217 MB at n=12 and
-897 MB at n=13.
+alone, in tiles of about 1 MB. ``_grow_shared`` drives one level step of
+three pieces, breadth-first: ``_level_masks`` runs ``_child_masks`` block
+by block and histograms the level's child masks, ``_tally`` counts them
+and says which to keep, and ``_next_level`` writes the kept children in
+place into arrays allocated once, block by block. Memory follows the
+widest level, so the 1524 classes peak at about 217 MB at n=12 and 897 MB
+at n=13.
 """
 from __future__ import annotations
 
@@ -187,7 +190,11 @@ def _value_order(pattern: Perm) -> tuple[int, ...]:
     return tuple(sorted(range(len(pattern)), key=pattern.__getitem__))
 
 
-def _plan(groups: Sequence[Iterable[Perm]]) -> list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]:
+# what _plan builds: one (reduced, bits, m_idxs) check per distinct reduced pattern
+Plan = list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]
+
+
+def _plan(groups: Sequence[Iterable[Perm]]) -> Plan:
     """
     One (reduced, bits, m_idxs) check per distinct reduced pattern (a
     pattern with its maximum deleted) of the pattern ``groups``, shortest
@@ -243,7 +250,7 @@ def _gathered(rows: np.ndarray, checks: list[tuple]) -> Iterator[tuple[int, np.n
             yield start, rows[start:start + chunk, combos.T], same_length
 
 
-def _level_bad_gaps(level: np.ndarray, plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]) -> np.ndarray:
+def _level_bad_gaps(level: np.ndarray, plan: Plan) -> np.ndarray:
     """Boolean (rows, n+1) array of gaps killed by some pattern of a one-group ``_plan``."""
     rows, n = level.shape
     bad = np.zeros((rows, n + 1), dtype=bool)
@@ -350,12 +357,7 @@ def _insert_max(parents: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _grow_vector(
-    patterns: PatternSet,
-    plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]],
-    max_n: int,
-    budget: int,
-    *,
-    with_level: bool,
+    patterns: PatternSet, plan: Plan, max_n: int, budget: int, *, with_level: bool
 ) -> tuple[tuple[int, ...], np.ndarray | None]:
     """
     The counts at lengths 0..max_n and, if ``with_level``, the length-max_n
@@ -430,9 +432,7 @@ def _pack_trees(
         yield tree, groups, np.array([sum({1 << label[p] for p in sigmas[i]}) for i in tree], dtype=np.uint64)
 
 
-def _child_masks(
-    block: np.ndarray, masks: np.ndarray, plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]
-) -> np.ndarray:
+def _child_masks(block: np.ndarray, masks: np.ndarray, plan: Plan) -> np.ndarray:
     """
     (rows, n+1) masks of the children of ``block``: the parent's plus the
     bits of the groups each gap kills. Over the ``_plan`` of all the groups,
@@ -489,17 +489,55 @@ def _tally(
     return got, over, keep
 
 
-def _grow_shared(
-    plan: list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]], set_masks: np.ndarray, max_n: int, budget: int
+def _level_masks(level: np.ndarray, masks: np.ndarray, plan: Plan, hold: bool) -> tuple[np.ndarray, np.ndarray, list]:
+    """
+    The sorted distinct masks of a level's children and how many children
+    carry each, from ``_child_masks`` over blocks of ``_BLOCK_ROWS``
+    parents; and, if ``hold``, each block's (rows, n+1) child masks for
+    ``_next_level`` (else none, so a last level holds none of them).
+    """
+    blocks, pieces = [], []
+    for start in range(0, level.shape[0], _BLOCK_ROWS):
+        child = _child_masks(level[start:start + _BLOCK_ROWS], masks[start:start + _BLOCK_ROWS], plan)
+        pieces.append(np.unique(child, return_counts=True))
+        if hold:
+            blocks.append(child)
+    distinct, where = np.unique(np.concatenate([u for u, _ in pieces]), return_inverse=True)
+    return distinct, np.bincount(where, weights=np.concatenate([c for _, c in pieces])), blocks
+
+
+def _next_level(
+    level: np.ndarray, blocks: list[np.ndarray], distinct: np.ndarray, keep: np.ndarray, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """
+    The ``size`` kept children of ``level`` and their masks: the children
+    whose mask in ``blocks`` is one of the ``distinct`` masks that ``keep``
+    marks. Both arrays are allocated once and written block by block in
+    place, in ``_insert_max``'s gap-major order, and each block's masks are
+    dropped from ``blocks`` once its children are written, so no level is
+    ever held twice.
+    """
+    children = np.empty((size, level.shape[1] + 1), dtype=_DTYPE)
+    child_masks = np.empty(size, dtype=np.uint64)
+    at = 0
+    for b in range(len(blocks)):
+        child, blocks[b] = blocks[b], None
+        k = keep[np.searchsorted(distinct, child)]
+        written = _insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k)
+        children[at:at + len(written)] = written
+        child_masks[at:at + len(written)] = child.T[k.T]  # gap-major, as _insert_max orders the rows
+        at += len(written)
+    return children, child_masks
+
+
+def _grow_shared(plan: Plan, set_masks: np.ndarray, max_n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """
     Counts (sets, max_n+1) of one shared tree, and per set the length at
-    which its nodes passed the budget (0 if they never did). Each level is
-    grown in blocks of ``_BLOCK_ROWS`` parents, whose child masks are held
-    until ``_tally`` has said which to keep. The next level and its masks
-    are then allocated once, at their kept size, and written block by block
-    in place, each block's masks dropped once its children are written, so
-    no level is ever held twice.
+    which its nodes passed the budget (0 if they never did). Breadth-first,
+    each level takes one step of three pieces: ``_level_masks`` (the
+    children's masks, block by block, and their histogram), ``_tally`` (the
+    counts, and which masks to keep) and, below all but the last level,
+    ``_next_level`` (the kept children, written in place).
     """
     counts = np.zeros((len(set_masks), max_n + 1), dtype=np.int64)
     counts[:, 0] = 1
@@ -510,35 +548,13 @@ def _grow_shared(
         live = np.flatnonzero(failed_at == 0)
         if level.shape[0] == 0 or live.size == 0:
             break
-        last = n + 1 == max_n
-        blocks, pieces = [], []
-        for start in range(0, level.shape[0], _BLOCK_ROWS):
-            child = _child_masks(level[start:start + _BLOCK_ROWS], masks[start:start + _BLOCK_ROWS], plan)
-            pieces.append(np.unique(child, return_counts=True))
-            if not last:
-                blocks.append(child)
-        distinct, where = np.unique(np.concatenate([u for u, _ in pieces]), return_inverse=True)
-        hist = np.bincount(where, weights=np.concatenate([c for _, c in pieces]))
-        del child, pieces, where  # none is held through the hand-over
+        distinct, hist, blocks = _level_masks(level, masks, plan, n + 1 < max_n)
         nodes = counts[live, :n + 1].sum(axis=1)
         got, over, keep = _tally(distinct, hist, set_masks[live], nodes, budget)
         counts[live, n + 1] = got
         failed_at[live[over]] = n + 1
-        if last:
-            break
-        size = int(hist[keep].sum())  # the kept children, summed over the kept masks
-        children = np.empty((size, n + 1), dtype=_DTYPE)
-        child_masks = np.empty(size, dtype=np.uint64)
-        at = 0
-        for b in range(len(blocks)):
-            child, blocks[b] = blocks[b], None  # each block's masks go once its children are written
-            k = keep[np.searchsorted(distinct, child)]
-            written = _insert_max(level[b * _BLOCK_ROWS:(b + 1) * _BLOCK_ROWS], k)
-            children[at:at + len(written)] = written
-            child_masks[at:at + len(written)] = child.T[k.T]  # gap-major, as _insert_max orders the rows
-            at += len(written)
-        del child, k, written
-        level, masks = children, child_masks
+        if n + 1 < max_n:
+            level, masks = _next_level(level, blocks, distinct, keep, int(hist[keep].sum()))
     return counts, failed_at
 
 

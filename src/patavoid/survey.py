@@ -30,6 +30,7 @@ distinct text is parsed and formatted once per process.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
@@ -405,17 +406,23 @@ def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
     """
     records = []
     complete = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if not raw.endswith(b"\n"):
-                break  # torn by an interrupted write
-            complete += len(raw)
-            if not raw.strip():
-                continue
-            try:
-                records.append((lineno, record_from_json_dict(json.loads(raw))))
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}, line {lineno}: not a survey record ({e})") from None
+    collecting = gc.isenabled()
+    gc.disable()  # no record holds a cycle, so a collection here would only walk the growing list
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if not raw.endswith(b"\n"):
+                    break  # torn by an interrupted write
+                complete += len(raw)
+                if not raw.strip():
+                    continue
+                try:
+                    records.append((lineno, record_from_json_dict(json.loads(raw))))
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ValueError(f"{path}, line {lineno}: not a survey record ({e})") from None
+    finally:
+        if collecting:
+            gc.enable()
     return records, complete
 
 

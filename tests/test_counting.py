@@ -326,7 +326,7 @@ class TestKernel:
             count_avoiders([(1, 2, 3), (3, 2, 1)], 9, node_budget=11)
 
     def test_insert_max_matches_reference(self):
-        # gap by gap and, within a gap, in row order: the order _grow_shared's child masks follow
+        # gap by gap and, within a gap, in row order: the order _next_level's child masks follow
         def reference(parents, keep):
             n = parents.shape[1]
             return [pi[:p] + [n + 1] + pi[p:] for p in range(n + 1)
@@ -594,6 +594,34 @@ def reference_pack(sigmas, indices):
     return packed
 
 
+def depth_first_counts(plan, set_masks, max_n, split, block_rows):
+    """
+    Per-set counts of one shared tree with no node budget, grown only by the
+    level step's three pieces: breadth-first to length ``split``, then each
+    block of ``block_rows`` rows of that level on its own to max_n, its
+    counts added.
+    """
+    counts = np.zeros((len(set_masks), max_n + 1), dtype=np.int64)
+    counts[:, 0] = 1
+    nodes = np.zeros(len(set_masks), dtype=np.int64)
+
+    def grow(level, masks, stop):
+        for n in range(level.shape[1], stop):
+            if len(level) == 0:
+                break
+            distinct, hist, blocks = counting._level_masks(level, masks, plan, n + 1 < max_n)
+            got, _over, keep = counting._tally(distinct, hist, set_masks, nodes, 2**62)
+            counts[:, n + 1] += got
+            if n + 1 < max_n:
+                level, masks = counting._next_level(level, blocks, distinct, keep, int(hist[keep].sum()))
+        return level, masks
+
+    level, masks = grow(np.zeros((1, 0), dtype=np.int16), np.zeros(1, dtype=np.uint64), split)
+    for start in range(0, len(level), block_rows):
+        grow(level[start:start + block_rows], masks[start:start + block_rows], max_n)
+    return counts
+
+
 class TestCountAvoidersMany:
     def test_pack_trees_matches_signature_reference(self):
         rng = random.Random(23)
@@ -651,6 +679,35 @@ class TestCountAvoidersMany:
             assert same_outcome(outcome, patterns, 8, node_budget=2000), (patterns, outcome)
         failed_at = {str(e).rsplit(" ", 1)[1] for e in got if isinstance(e, BudgetExceededError)}
         assert {"7", "8"} <= failed_at
+
+    @pytest.mark.parametrize("split, block_rows", [(0, 1), (4, 1), (5, 97)])
+    def test_level_step_grows_depth_first_blocks(self, split, block_rows):
+        # the subtrees below a level are independent given their rows and
+        # masks, so a depth-first driver of the same step counts the same
+        sets = [r.patterns for r in enumerate_symmetry_classes(4, 4)]
+        (tree, groups, set_masks), = counting._pack_trees(sets, list(range(len(sets))))
+        assert tree == list(range(1524))  # length-4 patterns make at most 24 groups: one tree
+        got = depth_first_counts(counting._plan(groups), set_masks, 9, split, block_rows)
+        assert [tuple(row) for row in got.tolist()] == [seq.counts for seq in count_avoiders_many(sets, 9)]
+
+    def test_last_level_holds_no_child_masks(self, monkeypatch):
+        steps, written = [], []
+        real_level_masks, real_next_level = counting._level_masks, counting._next_level
+
+        def level_masks(level, masks, plan, hold):
+            distinct, hist, blocks = real_level_masks(level, masks, plan, hold)
+            steps.append((level.shape[1], hold, len(blocks)))
+            return distinct, hist, blocks
+
+        def next_level(level, *args):
+            written.append(level.shape[1])
+            return real_next_level(level, *args)
+
+        monkeypatch.setattr(counting, "_level_masks", level_masks)
+        monkeypatch.setattr(counting, "_next_level", next_level)
+        count_avoiders_many([[(1, 3, 2)], [(1, 2, 3, 4)]], 7)
+        assert written == [0, 1, 2, 3, 4, 5]  # never from the length-6 level, whose children are the last
+        assert steps == [(n, True, 1) for n in range(6)] + [(6, False, 0)]
 
     def test_survey_count_traced_peak(self):
         # tracemalloc sees numpy's buffers, not the heap's layout, so the

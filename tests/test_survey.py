@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -8,6 +9,7 @@ import re
 
 import pytest
 
+from patavoid import survey
 from patavoid.counting import BudgetExceededError, count_avoiders
 from patavoid.perms import SYMMETRIES, all_perms, apply_symmetry, canonicalize_set, pattern_set, symmetry_orbit
 from patavoid.seqanalysis import ClassificationReport
@@ -316,6 +318,31 @@ class TestPersistence:
             read_survey(str(path))
         with pytest.raises(ValueError, match=f"{path}, line 3: "):
             run_survey_to_file(2, 3, 6, str(path))
+
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_read_leaves_the_collector_as_it_found_it(self, tmp_path, monkeypatch, collecting):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(2, 3, 6, str(path))
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(path.read_text() + "{\n")
+        seen = []
+        real_record = survey.record_from_json_dict
+
+        def record(data):
+            seen.append(gc.isenabled())
+            return real_record(data)
+
+        monkeypatch.setattr(survey, "record_from_json_dict", record)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            assert len(read_survey(str(path))) == 5 and gc.isenabled() == collecting
+            with pytest.raises(ValueError, match=f"{bad}, line 6: "):
+                read_survey(str(bad))
+            assert gc.isenabled() == collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * 10  # off while the records are read
 
     @pytest.mark.parametrize("text, why", [
         ("1a3", "invalid character 'a' at position 2"),
