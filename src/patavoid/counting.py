@@ -38,10 +38,12 @@ does, or the row's maximum completes an occurrence, which is the
 ``_level_bad_gaps`` bit of the parent's gap where the maximum sits. The
 parents, each row without its entry n, are deduped by ``_distinct_rows``
 (one sort of packed keys, or ``np.lexsort`` past 16 entries) and recursed
-on once each. Below ``_DIRECT_ROWS`` (64) rows and at n = 0 it checks every
-row at every embedding instead, one gather per length of the set. Both
-moves of the tree, inserting the maximum (``_insert_max``) and deleting it,
-are one masked numpy step each, with no loop over positions.
+on once each, against the set's one ``_plan``, built once per question.
+That recursion is the only path: rows shorter than the set's shortest
+pattern contain none of it, and a set holding the empty pattern is
+contained in every row. Both moves of the tree, inserting the maximum
+(``_insert_max``) and deleting it, are one masked numpy step each, with no
+loop over positions.
 
 Every counter that grows a tree takes its arguments through one rule,
 ``_node_budget_for``: max_n must be >= 0, and so must the node budget,
@@ -230,17 +232,18 @@ def _matches(cols: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     return match
 
 
-def _gathered(rows: np.ndarray, checks: list[tuple]) -> Iterator[tuple[int, np.ndarray, list[tuple]]]:
+def _gathered(rows: np.ndarray, plan: Plan) -> Iterator[tuple[int, np.ndarray, Plan]]:
     """
-    The one gather and chunk loop under every vectorized check. ``checks``
-    lead with a pattern and run shortest first; per run of k-length leading
-    patterns with k <= n, and per chunk of the (count, n) ``rows``, yields
-    (start, cols, that run's checks), where cols is the (chunk, k, C) array
-    of each row's entries at all C k-subsets of positions. A chunk holds at
-    most ``_MATCH_CELLS`` gathered cells, or one row where a row holds more.
+    The one gather and chunk loop under every vectorized check, the checks
+    of a ``_plan``, shortest reduced pattern first. Per run of checks whose
+    reduced patterns have one length k <= n, and per chunk of the (count, n)
+    ``rows``, yields (start, cols, that run's checks), where cols is the
+    (chunk, k, C) array of each row's entries at all C k-subsets of
+    positions. A chunk holds at most ``_MATCH_CELLS`` gathered cells, or one
+    row where a row holds more.
     """
     count, n = rows.shape
-    for k, same_length in itertools.groupby(checks, key=lambda check: len(check[0])):
+    for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
         if k > n:
             break
         combos = _combo_index(n, k)
@@ -263,8 +266,6 @@ def _level_bad_gaps(level: np.ndarray, plan: Plan) -> np.ndarray:
     return bad
 
 
-# rows_containing checks fewer rows than this directly
-_DIRECT_ROWS = 64
 # entries of a packed row key: 4 bits each in a uint64, values 1..16
 _KEY_ENTRIES = 16
 
@@ -307,15 +308,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def rows_containing(rows: np.ndarray, patterns: Iterable[Sequence[int]]) -> np.ndarray:
     """
     Which rows of a (count, n) array of permutations contain some pattern of
-    the set: ``perms.avoids`` negated for a whole array at once, on the
-    counting kernel's insertion-tree lemma. A row contains a pattern iff its
-    parent, the row with its maximum deleted, does, or some occurrence uses
-    the maximum. There the maximum plays the pattern's maximum, so the
-    parent's gap where it sits completes the pattern, which is what
-    ``_level_bad_gaps`` reads off ``_gap_matrix``. The parents are deduped
-    by ``_distinct_rows`` and recursed on once each. Fewer than 64 rows
-    (``_DIRECT_ROWS``) and rows of length 0 are checked directly: every row
-    at every embedding, patterns of one length sharing one gather.
+    the set: ``perms.avoids`` negated for a whole array at once, by
+    ``_rows_containing`` on the set's one ``_plan``. An empty set's
+    shortest pattern counts as longer than the rows, so none contains it.
 
     >>> rows_containing(np.array([[1, 3, 2], [3, 2, 1], [2, 1, 3]]), [(1, 2)]).tolist()
     [True, False, True]
@@ -325,18 +320,30 @@ def rows_containing(rows: np.ndarray, patterns: Iterable[Sequence[int]]) -> np.n
     30
     """
     sigma = pattern_set(patterns)
+    return _rows_containing(rows, _plan([sigma]), min(map(len, sigma), default=rows.shape[1] + 1))
+
+
+def _rows_containing(rows: np.ndarray, plan: Plan, shortest: int) -> np.ndarray:
+    """
+    Which rows contain some pattern of a set, given the set's one-group
+    ``_plan`` and its shortest pattern's length, on the counting kernel's
+    insertion-tree lemma. A row contains a pattern iff its parent, the row
+    with its maximum deleted, does, or some occurrence uses the maximum.
+    There the maximum plays the pattern's maximum, so the parent's gap where
+    it sits completes the pattern, which is what ``_level_bad_gaps`` reads
+    off ``_gap_matrix``. The parents are deduped by ``_distinct_rows`` and
+    recursed on once each, down to rows shorter than every pattern, which
+    contain none; a set holding the empty pattern, which ``_plan`` has no
+    check for, is contained in every row.
+    """
     count, n = rows.shape
-    if count < _DIRECT_ROWS or n == 0:
-        out = np.zeros(count, dtype=bool)
-        for start, cols, checks in _gathered(rows, [(p,) for p in sigma]):
-            for (pattern,) in checks:
-                out[start:start + len(cols)] |= _matches(cols, _value_order(pattern)).any(axis=1)
-        return out
+    if shortest == 0 or n < shortest:  # the empty pattern is in every row, no other in a shorter one
+        return np.full(count, shortest == 0)
     parents, inverse = _distinct_rows(rows[rows != n].reshape(count, n - 1))
     # the recursion before the kernel, and no mask of the maximum held across
     # either: certify's peak RSS is 0.4 MB and 1.1 MB lower for these
-    out = rows_containing(parents, sigma)[inverse]
-    out |= _level_bad_gaps(parents, _plan([sigma]))[inverse][rows == n]  # the parent's gap where n sits
+    out = _rows_containing(parents, plan, shortest)[inverse]
+    out |= _level_bad_gaps(parents, plan)[inverse][rows == n]  # the parent's gap where n sits
     return out
 
 

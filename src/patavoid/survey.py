@@ -21,10 +21,11 @@ verdict included, to a JSON Lines file, one record per line in record
 order, so a rerun resumes by skipping the classes already on disk. Readers
 take the counts, ignore the stored verdict and skip a final line torn by
 an interrupted write, which a resumed survey cuts off. A line
-that does not parse, a field of another type than the program writes
-(``record_from_json_dict``), a stored record counted to another horizon, a
-stored budget failure under another node budget, and a stored class that
-is not one of the survey's are errors naming the file and line. Pattern
+that does not parse, a field of another type than the program writes or
+a record with neither counts nor error (``record_from_json_dict``), a
+stored record counted to another horizon, a stored budget failure under
+another node budget, a stored class that is not one of the survey's and a
+class stored twice are errors naming the file and line. Pattern
 texts are read and written through the memos of ``perms``, so each
 distinct text is parsed and formatted once per process.
 """
@@ -364,9 +365,11 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
     The record of a JSON object as ``SurveyRecord.to_json_dict`` writes it:
     ``class`` a list of pattern texts and ``orbit`` an int >= 1, then, if
     present, ``counts`` a list of ints, ``error`` a string and
-    ``node_budget`` an int. JSON's true and 1.0 are not ints. A missing
-    class or orbit raises KeyError, and a wrong value an error that ends
-    with the field's name.
+    ``node_budget`` an int, with ``counts`` or ``error`` or both, as every
+    record the program writes has. JSON's true and 1.0 are not ints. A
+    missing class or orbit raises KeyError, a wrong value an error that
+    ends with the field's name, and a record with neither counts nor error
+    a ValueError.
     """
     texts = data["class"]
     if type(texts) is not list:
@@ -392,6 +395,8 @@ def record_from_json_dict(data: dict) -> SurveyRecord:
         record.node_budget = data["node_budget"]
         if type(record.node_budget) is not int:
             raise _bad_field("node_budget", record.node_budget, "an int")
+    if record.counts is None and record.error is None:
+        raise ValueError("neither 'counts' nor 'error' is present")
     return record
 
 
@@ -470,6 +475,8 @@ def run_survey_to_file(
         if prior.error is not None and prior.node_budget != node_budget:
             stored_budget = "no node budget" if prior.node_budget is None else f"node budget {prior.node_budget}"
             raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {node_budget}")
+        if prior.patterns in done:
+            raise ValueError(f"{where}: class {format_braced(prior.patterns)} is stored twice")
         done[prior.patterns] = prior
     records = [done.get(record.patterns, record) for record in classes]
     with open(out_path, "a", encoding="utf-8") as fh:

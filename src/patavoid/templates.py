@@ -27,11 +27,13 @@ strings have at most k zeros and some member of the family contains a
 pattern of length l, then some member of length at most (l-1)(k+1)+1
 already does. Checking the finitely many lengths up to that bound therefore
 proves avoidance for every length at once; ``certify_avoidance`` does
-exactly that and returns the evidence. It checks each length as one array
-of members against the whole pattern set in one ``counting.rows_containing``
-call, which recurses on the members' distinct max-deleted parents and asks
-the counting kernel whether each member's maximum completes a pattern, and
-confirms the member its answer ends on with ``perms.contains``.
+exactly that and returns the evidence. It builds the counting kernel's
+``_plan`` of the pattern set once and checks each length as one array of
+members against it in one ``counting._rows_containing`` call, the one path
+behind ``rows_containing``: it recurses on the members' distinct
+max-deleted parents, down to parents shorter than every pattern, and asks
+the counting kernel whether each member's maximum completes a pattern. The
+member its answer ends on is confirmed with ``perms.contains``.
 
 Generated families are memoized per (template set, length) for the life of
 the process as read-only (members, n) int16 arrays, rows sorted and
@@ -47,7 +49,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import BudgetExceededError, CountSequence, _distinct_rows, rows_containing
+from .counting import BudgetExceededError, CountSequence, _distinct_rows, _plan, _rows_containing
 from .perms import PatternSet, Perm, contains, format_perm, parse_perm, pattern_set, perm
 
 
@@ -258,7 +260,7 @@ def certify_avoidance(
     Decide whether every member of the template family, of every length,
     avoids every pattern: generate members up to the certification bound
     and test each length's members, as one array, against the whole
-    pattern set in one ``counting.rows_containing`` pass.
+    pattern set in one ``counting._rows_containing`` pass.
 
     >>> certify_avoidance([((1, 2), "11")], [(1, 2)]).verified
     False
@@ -280,22 +282,26 @@ def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tup
     The first member up to max_length (by length, then lexicographic) that
     contains a pattern of sigma, and that pattern; (None, None) if none does.
     Each length goes through the containment kernel as one array, in one
-    pass for the whole set; the scalar ``contains`` names the witness's
-    pattern (the first of sigma it finds there) and confirms the member the
-    answer ends on (the witness, else the last member checked), a tripwire
-    on the kernel.
+    pass for the whole set, on one ``_plan`` of sigma built for them all;
+    the scalar ``contains`` names the witness's pattern (the first of sigma
+    it finds there) and confirms the member the answer ends on (the
+    witness, else the last member of the last nonempty length checked), a
+    tripwire on the kernel.
     """
-    rows = np.zeros((0, 0), dtype=np.int16)
+    plan = _plan([sigma])
+    shortest = min(map(len, sigma), default=max_length + 1)  # an empty set: longer than every member
+    last = None
     for m in range(max_length + 1):
         rows = _family_at(tset, m)
-        found = np.flatnonzero(rows_containing(rows, sigma))
+        found = np.flatnonzero(_rows_containing(rows, plan, shortest))
         if found.size:
             pi = tuple(rows[found[0]].tolist())
             s = next((s for s in sigma if contains(pi, s)), None)
             if s is None:
                 raise RuntimeError(f"containment kernel finds a pattern of {sigma} in {pi}, perms.contains does not")
             return pi, s
-    last = tuple(rows[-1].tolist()) if len(rows) else None
+        if len(rows):
+            last = tuple(rows[-1].tolist())
     if last is not None and any(contains(last, s) for s in sigma):
         raise RuntimeError(f"perms.contains finds a pattern of {sigma} in {last}, the kernel does not")
     return None, None
@@ -311,7 +317,7 @@ def verify_family_avoids(
     max_length, chosen by the caller rather than by the theorem's bound.
     Returns (ok, first witness or None). Used to spot-check certificates
     past their bound. It is not independent of ``certify_avoidance``'s
-    kernel: both run ``_first_witness``, the same ``rows_containing``
+    kernel: both run ``_first_witness``, the same ``_rows_containing``
     pass with the same ``perms.contains`` tripwire. The independent
     reference is ``tests/test_templates.py::scalar_first_witness``.
     """

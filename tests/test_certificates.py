@@ -7,6 +7,7 @@ package's vectorized containment kernel, ``counting.rows_containing`` (the
 one ``certify_avoidance`` runs on), after checking it against the reference
 ``perms.contains``.
 """
+import itertools
 import random
 
 import numpy as np
@@ -62,6 +63,32 @@ def contains_naively(rows, patterns):
     return [not avoids(tuple(pi), patterns) for pi in rows]
 
 
+def contains_by_embedding(rows, patterns):
+    """
+    The direct bulk check, as a reference: every row at every embedding of
+    every pattern, its entries there compared in the pattern's value order,
+    one gather per pattern length and chunk of about 500k cells. Patterns
+    of length 0 and 1 embed in every row at least as long.
+    """
+    count, n = rows.shape
+    out = np.zeros(count, dtype=bool)
+    for k in {len(sigma) for sigma in patterns if len(sigma) <= n}:
+        if k <= 1:
+            out[:] = True
+            continue
+        combos = np.array(list(itertools.combinations(range(n), k)), dtype=np.intp)
+        orders = [sorted(range(k), key=sigma.__getitem__) for sigma in patterns if len(sigma) == k]
+        chunk = max(1, 500_000 // combos.size)
+        for start in range(0, count, chunk):
+            cols = rows[start:start + chunk, combos.T]  # (chunk, k, embeddings)
+            for order in orders:
+                rising = cols[:, order[0]] < cols[:, order[1]]
+                for below, above in zip(order[1:], order[2:]):
+                    rising &= cols[:, below] < cols[:, above]
+                out[start:start + chunk] |= rising.any(axis=1)
+    return out
+
+
 class TestBulkChecker:
     def test_matches_reference_containment(self):
         rng = random.Random(99)  # 1200 rows: more than one chunk of the kernel at n=8
@@ -110,6 +137,7 @@ class TestBulkChecker:
         for sigma in [[], [()], [(1,)], [(2, 1)], [(1, 3, 2)], [(2, 4, 1, 3), (3, 1, 4, 2)],
                       [(3, 1, 2, 5, 4)], [tuple(range(n, 0, -1))], [(2, 1, 3, 4, 5, 6, 7)]]:
             assert rows_containing(rows, sigma).tolist() == contains_naively(perms, sigma), sigma
+            assert contains_by_embedding(rows, sigma).tolist() == contains_naively(perms, sigma), sigma
 
     def test_distinct_parents(self):
         # the parents rows_containing recurses on: each row with its maximum deleted by mask
@@ -134,29 +162,33 @@ class TestBulkChecker:
             assert distinct[inverse].tolist() == [list(p) for p in perms], n
 
     def test_recursion_reaches_its_base(self, monkeypatch):
-        # 64 rows recurse on their parents at every length, 63 rows do not; each
-        # recorded shape is the parents' (rows that recursed, their length - 1)
+        # any number of rows recurses on its parents, down to rows of the
+        # shortest pattern's length and never below; each recorded shape is
+        # the parents' (rows that recursed, their length - 1)
         calls = []
         distinct_rows = counting._distinct_rows
         monkeypatch.setattr(counting, "_distinct_rows", lambda rows: calls.append(rows.shape) or distinct_rows(rows))
-        rows = np.array(sorted(all_perms(5))[:64], dtype=np.int16)
-        rows_containing(rows[:63], [(1, 2)])
-        assert calls == []
-        rows_containing(rows, [(1, 2)])
-        assert calls == [(64, 4)]
+        perms6 = np.array(sorted(all_perms(6)), dtype=np.int16)
+        rows_containing(perms6[:1], [(1, 2)])
+        assert calls == [(1, 5), (1, 4), (1, 3), (1, 2), (1, 1)]
         calls.clear()
-        rows_containing(np.array(sorted(all_perms(6)), dtype=np.int16), [(1, 2)])
-        assert calls == [(720, 5), (120, 4)]  # S_4's 24 rows are checked directly
+        rows_containing(perms6, [(1, 2)])
+        assert calls == [(720, 5), (120, 4), (24, 3), (6, 2), (2, 1)]
         calls.clear()
+        rows_containing(perms6, [(1, 3, 2, 4), (2, 1, 3)])
+        assert calls == [(720, 5), (120, 4), (24, 3), (6, 2)]  # rows of length 2 hold no length-3 pattern
+        calls.clear()
+        for sigma in [[(1, 2, 3, 4, 5, 6, 7)], [()], [(), (1, 2)], []]:
+            rows_containing(perms6, sigma)
+            assert calls == [], sigma  # rows shorter than every pattern, or a set holding the empty one
         rows_containing(np.tile(np.arange(1, 19, dtype=np.int16), (64, 1)), [(1, 2)])
-        assert calls == [(64, 17)]  # through np.lexsort, to one parent checked directly
+        assert calls == [(64, 17)] + [(1, n) for n in range(16, 0, -1)]  # through np.lexsort, to one parent
         calls.clear()
         rng = random.Random(18)
         rows = np.array([rng.sample(range(1, 19), 18) for _ in range(64)], dtype=np.int16)
         rows_containing(rows, [(1, 2)])
         assert calls[:2] == [(64, 17), (64, 16)]  # np.lexsort, then packed keys
-        assert [shape[1] for shape in calls] == list(range(17, 17 - len(calls), -1))
-        assert all(shape[0] >= 64 for shape in calls)
+        assert [shape[1] for shape in calls] == list(range(17, 0, -1))
 
     @pytest.mark.parametrize("n", [16, 17, 18])
     def test_long_rows_around_the_key_limit(self, n):
@@ -171,19 +203,17 @@ class TestBulkChecker:
                       [tuple(range(n, 0, -1))], [tuple(range(1, n + 2))]]:
             assert rows_containing(rows, sigma).tolist() == contains_naively(perms, sigma), (n, sigma)
 
-    def test_prop7_family_at_eleven(self, monkeypatch):
-        # 172,032 members: the recursion against the direct pass on all of them,
-        # and against perms.contains on every 64th
+    def test_prop7_family_at_eleven(self):
+        # 172,032 members: the recursion against the direct bulk check on all
+        # of them, and against perms.contains on every 64th
         rows = _family_at(template_set(T_PAIR), 11)
         patterns = [PROP7, [(1, 2, 3, 4)], [(4, 3, 2, 1), (1, 3, 2, 4, 5)]]
         got = [rows_containing(rows, sigma) for sigma in patterns]
         sample = [tuple(pi) for pi in rows[::64].tolist()]
         for sigma, hits in zip(patterns, got):
             assert hits[::64].tolist() == contains_naively(sample, sigma), sigma
+            assert (contains_by_embedding(rows, sigma) == hits).all(), sigma
         assert not got[0].any() and got[1].any() and not got[1].all()
-        monkeypatch.setattr(counting, "_DIRECT_ROWS", len(rows) + 1)
-        for sigma, hits in zip(patterns, got):
-            assert (rows_containing(rows, sigma) == hits).all(), sigma
 
 
 class TestSoundnessPastBound:

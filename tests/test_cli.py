@@ -274,6 +274,27 @@ class TestSurveyCommands:
         assert f"{path}, line 1: class {{123}}" in err
         assert path.read_bytes() == before
 
+    def test_resume_rejects_a_record_without_counts(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "5", "--out", str(path)]
+        assert run(capsys, *survey)[0] == 0
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text('{"class": ["123"], "orbit": 2}\n' + "".join(lines[1:]))
+        before = path.read_bytes()
+        message = f"error: {path}, line 1: not a survey record (neither 'counts' nor 'error' is present)\n"
+        assert run(capsys, *survey) == (1, "", message)
+        assert path.read_bytes() == before
+        assert run(capsys, "survey", "wilf", "--in", str(path)) == (1, "", message)
+
+    def test_resume_rejects_a_class_stored_twice(self, capsys, tmp_path):
+        path = tmp_path / "s.jsonl"
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "5", "--out", str(path)]
+        assert run(capsys, *survey)[0] == 0
+        path.write_text(path.read_text() * 2)
+        before = path.read_bytes()
+        assert run(capsys, *survey) == (1, "", f"error: {path}, line 3: class {{123}} is stored twice\n")
+        assert path.read_bytes() == before
+
     def test_run_negative_num_patterns_rejected(self, capsys, tmp_path):
         out_path = tmp_path / "s.jsonl"
         code, out, err = run(capsys, "survey", "--num-patterns", "-1", "--max-n", "6", "--out", str(out_path))

@@ -450,6 +450,31 @@ class TestPersistence:
             run_survey_to_file(2, 3, 6, str(path))
         assert path.read_bytes() == before
 
+    def test_record_without_counts_or_error_rejected(self, tmp_path):
+        # the program never writes a class with neither; a resume once counted it again and appended it
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(1, 3, 5, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = '{"class": ["123"], "orbit": 2}\n'
+        path.write_text("".join(lines))
+        before = path.read_bytes()
+        message = f"{path}, line 1: not a survey record (neither 'counts' nor 'error' is present)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_survey_to_file(1, 3, 5, str(path))
+        assert path.read_bytes() == before
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_survey(str(path))
+
+    def test_resume_rejects_a_class_stored_twice(self, tmp_path):
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(1, 3, 5, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[:1]))
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: class {{123}} is stored twice")):
+            run_survey_to_file(1, 3, 5, str(path))
+        assert path.read_bytes() == before
+
 
 class TestWorkers:
     def test_survey_workers_start_no_pool(self, monkeypatch, tmp_path):

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from patavoid import templates
+from patavoid import counting, templates
 from patavoid.counting import BudgetExceededError, count_avoiders, enumerate_avoiders
 from patavoid.perms import all_perms, contains, flatten, is_perm, parse_pattern_list, pattern_set
 from patavoid.templates import (
@@ -329,12 +329,35 @@ class TestWitnessOrder:
 
     def test_kernel_hit_unconfirmed_by_contains_raises(self, monkeypatch):
         # a kernel that flags every row: the first member, (), holds no 132
-        monkeypatch.setattr("patavoid.templates.rows_containing", lambda rows, patterns: np.ones(len(rows), dtype=bool))
+        monkeypatch.setattr(templates, "_rows_containing", lambda rows, plan, shortest: np.ones(len(rows), dtype=bool))
         with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 3, 2),) in (), perms.contains does not")):
             certify_avoidance([T_STACK], [(1, 3, 2)])
 
     def test_clean_scan_unconfirmed_by_contains_raises(self, monkeypatch):
         # a kernel that flags no row: perms.contains finds 12 in the last member checked
-        monkeypatch.setattr("patavoid.templates.rows_containing", lambda rows, patterns: np.zeros(len(rows), dtype=bool))
+        monkeypatch.setattr(templates, "_rows_containing", lambda rows, plan, shortest: np.zeros(len(rows), dtype=bool))
         with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 2),) in (1, 2), the kernel does not")):
             certify_avoidance([template((1, 2), "11")], [(1, 2)])
+        # the 12:00 family is empty past length 2, its bound 4: the last nonempty length is confirmed
+        with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 2),) in (1, 2), the kernel does not")):
+            certify_avoidance([template((1, 2), "00")], [(1, 2)])
+
+    def test_clean_scan_confirmed_past_empty_lengths(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(templates, "contains", lambda pi, s: calls.append((pi, s)) or contains(pi, s))
+        cert = certify_avoidance([template((1, 2), "00")], [(2, 1)])
+        assert cert.verified and cert.bound == 4
+        assert calls == [((1, 2), (2, 1))]
+
+    def test_one_plan_per_certificate(self, monkeypatch):
+        # built once in _first_witness for every length to the bound, and never in the kernel
+        plans = []
+        for module in (templates, counting):
+            monkeypatch.setattr(module, "_plan", lambda groups, build=module._plan: plans.append(groups) or build(groups))
+        sigma = parse_pattern_list("2341,2413,2431,3241")
+        cert = certify_avoidance(T_PAIR, sigma)
+        assert cert.verified and cert.bound == 10
+        assert plans == [[pattern_set(sigma)]]
+
+    def test_empty_set_has_no_witness(self):
+        assert verify_family_avoids([T_STACK], [], 5) == (True, None)
