@@ -92,7 +92,7 @@ DEFAULT_NODE_BUDGET = 10**8
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured resource budget (tree nodes, subset count) ran out."""
+    """A configured resource budget (tree nodes, subset count, template family cells) ran out."""
 
 
 def check_node_budget(node_budget: int) -> int:

@@ -194,6 +194,8 @@ def classify(seq: Sequence[int], max_degree: int = 7) -> ClassificationReport:
     """
     if len(seq) < 4:
         raise ValueError("need at least 4 terms")
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     length = len(seq)
 
     start = _run_start(seq)

@@ -20,13 +20,20 @@ shared between classes (``counting.count_avoiders_many``), then written,
 verdict included, to a JSON Lines file, one record per line in record
 order, so a rerun resumes by skipping the classes already on disk. Readers
 take the counts, ignore the stored verdict and skip a final line torn by
-an interrupted write, which a resumed survey cuts off. A line
-that does not parse, a field of another type than the program writes or
-a record with neither counts nor error (``record_from_json_dict``), a
-stored record counted to another horizon, a stored budget failure under
-another node budget, a stored class that is not one of the survey's and a
-class stored twice are errors naming the file and line. Pattern
-texts are read and written through the memos of ``perms``, so each
+an interrupted write, which a resumed survey cuts off. Errors in a
+file name the file and line, and they are of two kinds:
+
+- the file's own rules, checked by ``_load_survey`` for every reader
+  (``read_survey``, ``survey wilf`` / ``polyscan`` and the resume): a line
+  that does not parse, a field of another type than the program writes or
+  a record with neither counts nor error (``record_from_json_dict``), and
+  a class stored twice;
+- the run's rules, checked by the resume in ``run_survey_to_file`` alone:
+  a stored record counted to another horizon, a stored budget failure
+  under another node budget, and a stored class that is not one of the
+  survey's.
+
+Pattern texts are read and written through the memos of ``perms``, so each
 distinct text is parsed and formatted once per process.
 """
 from __future__ import annotations
@@ -404,15 +411,17 @@ def _bad_field(key: str, value, what: str) -> ValueError:
     return ValueError(f"{value!r} is not {what}, in field {key!r}")
 
 
-def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
+def _load_survey(path: str) -> tuple[dict[PatternSet, tuple[int, SurveyRecord]], int]:
     """
-    The records of a survey file with their line numbers, and the byte
-    length of its lines up to a torn final one (without its newline).
+    The records of a survey file keyed by class, in file order, each with
+    its line number, and the byte length of its lines up to a torn final
+    one (without its newline). The file's own rules are checked here, for
+    every reader: each line a survey record, and no class stored twice.
     """
-    records = []
+    records: dict[PatternSet, tuple[int, SurveyRecord]] = {}
     complete = 0
     collecting = gc.isenabled()
-    gc.disable()  # no record holds a cycle, so a collection here would only walk the growing list
+    gc.disable()  # no record holds a cycle, so a collection here would only walk the growing dict
     try:
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -422,9 +431,12 @@ def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
                 if not raw.strip():
                     continue
                 try:
-                    records.append((lineno, record_from_json_dict(json.loads(raw))))
+                    record = record_from_json_dict(json.loads(raw))
                 except (KeyError, TypeError, ValueError) as e:
                     raise ValueError(f"{path}, line {lineno}: not a survey record ({e})") from None
+                if record.patterns in records:
+                    raise ValueError(f"{path}, line {lineno}: class {format_braced(record.patterns)} is stored twice")
+                records[record.patterns] = lineno, record
     finally:
         if collecting:
             gc.enable()
@@ -432,8 +444,8 @@ def _load_survey(path: str) -> tuple[list[tuple[int, SurveyRecord]], int]:
 
 
 def read_survey(path: str) -> list[SurveyRecord]:
-    """The records of a survey file, skipping a torn final line."""
-    return [record for _lineno, record in _load_survey(path)[0]]
+    """The records of a survey file, in file order, skipping a torn final line."""
+    return [record for _lineno, record in _load_survey(path)[0].values()]
 
 
 def run_survey_to_file(
@@ -460,10 +472,9 @@ def run_survey_to_file(
     try:
         stored, complete = _load_survey(out_path)
     except FileNotFoundError:
-        stored, complete = [], 0
+        stored, complete = {}, 0
     wanted = {record.patterns for record in classes}
-    done: dict[PatternSet, SurveyRecord] = {}
-    for lineno, prior in stored:
+    for lineno, prior in stored.values():
         where = f"{out_path}, line {lineno}"
         if prior.patterns not in wanted:
             raise ValueError(
@@ -475,10 +486,7 @@ def run_survey_to_file(
         if prior.error is not None and prior.node_budget != node_budget:
             stored_budget = "no node budget" if prior.node_budget is None else f"node budget {prior.node_budget}"
             raise ValueError(f"{where}: budget failure recorded under {stored_budget}, this survey has node budget {node_budget}")
-        if prior.patterns in done:
-            raise ValueError(f"{where}: class {format_braced(prior.patterns)} is stored twice")
-        done[prior.patterns] = prior
-    records = [done.get(record.patterns, record) for record in classes]
+    records = [stored[record.patterns][1] if record.patterns in stored else record for record in classes]
     with open(out_path, "a", encoding="utf-8") as fh:
         fh.truncate(complete)
         for record in fill_counts(records, max_n, node_budget=node_budget):

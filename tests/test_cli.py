@@ -200,6 +200,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--seq", "1,2,three")
         assert code == 1 and "entry 3" in err
 
+    @pytest.mark.parametrize("seq", ["0,0,0,0", "1,2,3,4"])
+    def test_negative_max_degree_rejected(self, capsys, seq):
+        # a zero sequence was once classified before the bound was checked
+        code, out, err = run(capsys, "analyze", "--seq", seq, "--max-degree", "-1")
+        assert (code, out, err) == (1, "", "error: max_degree must be >= 0\n")
+
 
 class TestSurveyCommands:
     def test_run_wilf_polyscan(self, capsys, tmp_path):
@@ -294,6 +300,15 @@ class TestSurveyCommands:
         before = path.read_bytes()
         assert run(capsys, *survey) == (1, "", f"error: {path}, line 3: class {{123}} is stored twice\n")
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("command, extra", [("wilf", []), ("polyscan", ["--max-degree", "2"])])
+    def test_class_stored_twice(self, capsys, tmp_path, command, extra):
+        # a file appended to itself once read as twice the records
+        path = tmp_path / "s.jsonl"
+        assert run(capsys, "survey", "--num-patterns", "2", "--pattern-length", "3", "--max-n", "5", "--out", str(path))[0] == 0
+        path.write_text(path.read_text() * 2)
+        code, out, err = run(capsys, "survey", command, "--in", str(path), *extra)
+        assert (code, out, err) == (1, "", f"error: {path}, line 6: class {{123,132}} is stored twice\n")
 
     def test_run_negative_num_patterns_rejected(self, capsys, tmp_path):
         out_path = tmp_path / "s.jsonl"

@@ -161,6 +161,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify([1, 2, 3])
 
+    @pytest.mark.parametrize("seq", [[0, 0, 0, 0], [1, 2, 2, 0, 0, 0, 0], [1, 2, 3, 4], FIB_DRIFT])
+    def test_negative_max_degree_rejected_for_every_verdict(self, seq):
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            classify(seq, -1)
+
 
 # ---------------------------------------------------------------------------
 # The trailing-run rule against the direct scans it replaced

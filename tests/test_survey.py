@@ -475,6 +475,14 @@ class TestPersistence:
             run_survey_to_file(1, 3, 5, str(path))
         assert path.read_bytes() == before
 
+    def test_read_rejects_a_class_stored_twice(self, tmp_path):
+        # every reader refuses the file the resume refuses, rather than counting the class twice
+        path = tmp_path / "survey.jsonl"
+        run_survey_to_file(2, 3, 5, str(path))
+        path.write_text(path.read_text() * 2)
+        with pytest.raises(ValueError, match=re.escape(f"{path}, line 6: class {{123,132}} is stored twice")):
+            read_survey(str(path))
+
 
 class TestWorkers:
     def test_survey_workers_start_no_pool(self, monkeypatch, tmp_path):
