@@ -215,10 +215,7 @@ def _cmd_template_certify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    seq = _parse_seq(args.seq)
-    if len(seq) < 4:
-        raise ValueError("need at least 4 terms to classify")
-    report = classify(seq, args.max_degree)
+    report = classify(_parse_seq(args.seq), args.max_degree)
     if args.emit == "json":
         _emit_json(report.to_json_dict())
     else:

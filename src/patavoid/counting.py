@@ -29,7 +29,8 @@ That oracle never uses the gap rule above, which ``_gap_matrix`` alone
 states. The order check on gathered columns (``_matches``) is the one
 vectorized containment kernel. A length-1 pattern needs no case of its own:
 its reduced pattern is empty, with one empty embedding that every row
-matches and every gap completes.
+matches and every gap completes. The empty pattern has no check at all:
+``_grow_vector`` starts from no rows when the set holds it.
 
 ``rows_containing`` tests a whole array of permutations (the template
 certificates' family members) against a pattern set on the same lemma: a
@@ -46,7 +47,7 @@ contained in every row. Both moves of the tree, inserting the maximum
 loop over positions.
 
 Every counter that grows a tree takes its arguments through one rule,
-``_node_budget_for``: max_n must be >= 0, and so must the node budget,
+``check_node_budget``: max_n must be >= 0, and so must the node budget,
 which is the ``node_budget`` argument (by default ``DEFAULT_NODE_BUDGET``,
 10**8) and nothing else. A tree whose nodes pass the budget raises
 BudgetExceededError naming the budget and the length where it passed
@@ -60,20 +61,23 @@ patterns that belong to exactly the same sets, which ``_pack_trees`` alone
 forms, in time linear in the sets). A set counts the rows whose mask is
 disjoint from its own, a subset sum over the histogram of masks, as in
 Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets Möbius" (STOC
-2007). The 1524 classes of four length-4 patterns to n=10 grow 28.7M nodes
-as separate trees and 823k rows as one shared tree. ``_plan`` over all the
-groups merges their checks, so each distinct reduced pattern takes one
-order check and one matmul per chunk of rows for every group that holds it,
-against those groups' gap matrices side by side (``_child_masks``). A set
-can only count masks that miss all its bits, so ``_tally`` splits the sets
-by their two lowest mask bits and tests each part against those masks
-alone, in tiles of about 1 MB. ``_grow_shared`` drives one level step of
-three pieces, breadth-first: ``_level_masks`` runs ``_child_masks`` block
-by block and histograms the level's child masks, ``_tally`` counts them
-and says which to keep, and ``_next_level`` writes the kept children in
-place into arrays allocated once, block by block. Memory follows the
-widest level, so the 1524 classes peak at about 217 MB at n=12 and 897 MB
-at n=13.
+2007). The empty pattern is one more pattern there: the root's mask carries
+its group's bit, so every set goes into a tree, the sets holding it count
+no row by the same disjointness rule, and the results come out tree by tree
+in input order. The 1524 classes of four length-4 patterns to n=10 grow
+28.7M nodes as separate trees and 823k rows as one shared tree. ``_plan``
+over all the groups merges their checks, so each distinct reduced pattern
+takes one order check and one matmul per chunk of rows for every group that
+holds it, against those groups' gap matrices side by side
+(``_child_masks``). A set can only count masks that miss all its bits, so
+``_tally`` splits the sets by their two lowest mask bits and tests each
+part against those masks alone, in tiles of about 1 MB. ``_grow_shared``
+drives one level step of three pieces, breadth-first: ``_level_masks`` runs
+``_child_masks`` block by block and histograms the level's child masks,
+``_tally`` counts them and says which to keep, and ``_next_level`` writes
+the kept children in place into arrays allocated once, block by block.
+Memory follows the widest level, so the 1524 classes peak at about 217 MB
+at n=12 and 897 MB at n=13.
 """
 from __future__ import annotations
 
@@ -95,18 +99,13 @@ class BudgetExceededError(RuntimeError):
     """A configured resource budget (tree nodes, subset count, template family cells) ran out."""
 
 
-def check_node_budget(node_budget: int) -> int:
-    """The node budget, which must be >= 0."""
+def check_node_budget(max_n: int, node_budget: int) -> int:
+    """Every counter's argument rule: max_n must be >= 0, and the node budget too, which it returns."""
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     if node_budget < 0:
         raise ValueError(f"node budget must be >= 0, got {node_budget}")
     return node_budget
-
-
-def _node_budget_for(max_n: int, node_budget: int) -> int:
-    """Every counter's argument rule: max_n must be >= 0, and the node budget too."""
-    if max_n < 0:
-        raise ValueError("max_n must be >= 0")
-    return check_node_budget(node_budget)
 
 
 def _over_budget(budget: int, n: int) -> BudgetExceededError:
@@ -204,7 +203,8 @@ def _plan(groups: Sequence[Iterable[Perm]]) -> Plan:
     that reduces to it, and each such group's sorted maximum positions.
     Patterns that share a reduced pattern differ only in where their maximum
     was, so one order check serves them all. The empty pattern has no check:
-    the growers start from no rows when a set holds it.
+    the vector grower starts from no rows when the set holds it, and the
+    shared tree's root carries the bit of the group that holds it.
     """
     merged: dict[Perm, dict[int, set[int]]] = {}
     for j, group in enumerate(groups):
@@ -364,15 +364,18 @@ def _insert_max(parents: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _grow_vector(
-    patterns: PatternSet, plan: Plan, max_n: int, budget: int, *, with_level: bool
+    sigma: PatternSet, max_n: int, budget: int, *, with_level: bool
 ) -> tuple[tuple[int, ...], np.ndarray | None]:
     """
-    The counts at lengths 0..max_n and, if ``with_level``, the length-max_n
-    level as a (count, max_n) int array (else None: counting its rows needs
-    only the kept gaps of the level before it). An empty level ends the
-    growth: every level below it is empty too.
+    The counts at lengths 0..max_n of the set ``sigma``, grown against its
+    one ``_plan``, and, if ``with_level``, the length-max_n level as a
+    (count, max_n) int array (else None: counting its rows needs only the
+    kept gaps of the level before it). A set holding the empty pattern
+    starts from no rows, and an empty level ends the growth: every level
+    below it is empty too.
     """
-    roots = 0 if () in patterns else 1  # nothing avoids the empty pattern
+    plan = _plan([sigma])
+    roots = 0 if () in sigma else 1  # nothing avoids the empty pattern
     level = np.zeros((roots, 0), dtype=_DTYPE)
     counts = [roots]
     for n in range(max_n):
@@ -408,35 +411,34 @@ _TALLY_CELLS = 1 << 16
 _PREFIX_BITS = 2
 
 
-def _pack_trees(
-    sigmas: list[PatternSet], indices: list[int]
-) -> Iterator[tuple[list[int], list[list[Perm]], np.ndarray]]:
+def _pack_trees(sigmas: list[PatternSet]) -> Iterator[tuple[list[PatternSet], list[list[Perm]], np.ndarray]]:
     """
-    Split ``indices`` greedily, in order, into trees of at most 64 groups,
-    the patterns held by exactly the same sets. Yields each tree's sets,
-    each group's patterns, and the sets' masks: the OR of ``1 << label``
-    over each set's patterns. As a set joins, a pattern's label becomes the
-    pair (old label, held by it), numbered as the tree first met patterns.
+    Split the sets greedily, in order, into trees of consecutive sets with
+    at most 64 groups, the patterns held by exactly the same sets (the empty
+    pattern is one more pattern here). Yields each tree's sets, each group's
+    patterns, and the sets' masks: the OR of ``1 << label`` over each set's
+    patterns. As a set joins, a pattern's label becomes the pair (old label,
+    held by it), numbered as the tree first met patterns.
     """
-    trees: list[tuple[list[int], dict[Perm, int]]] = []
-    for i in indices:
+    trees: list[tuple[list[PatternSet], dict[Perm, int]]] = []
+    for sigma in sigmas:
         tree, label = trees[-1] if trees else ([], {})
-        held = set(sigmas[i])
+        held = set(sigma)
         pairs: dict[tuple[int, bool], int] = {}
         grown = {p: pairs.setdefault((j, p in held), len(pairs)) for p, j in label.items()}
-        for p in sigmas[i]:
+        for p in sigma:
             if p not in grown:  # not setdefault, whose default would number a pair for old patterns too
                 grown[p] = pairs.setdefault((-1, True), len(pairs))
         if trees and len(pairs) <= _MASK_BITS:
-            tree.append(i)
+            tree.append(sigma)
             trees[-1] = (tree, grown)
         else:
-            trees.append(([i], dict.fromkeys(sigmas[i], 0)))
+            trees.append(([sigma], dict.fromkeys(sigma, 0)))
     for tree, label in trees:
         groups: list[list[Perm]] = [[] for _ in set(label.values())]
         for p, j in label.items():
             groups[j].append(p)
-        yield tree, groups, np.array([sum({1 << label[p] for p in sigmas[i]}) for i in tree], dtype=np.uint64)
+        yield tree, groups, np.array([sum({1 << label[p] for p in sigma}) for sigma in tree], dtype=np.uint64)
 
 
 def _child_masks(block: np.ndarray, masks: np.ndarray, plan: Plan) -> np.ndarray:
@@ -537,20 +539,27 @@ def _next_level(
     return children, child_masks
 
 
-def _grow_shared(plan: Plan, set_masks: np.ndarray, max_n: int, budget: int) -> tuple[np.ndarray, np.ndarray]:
+def _grow_shared(
+    groups: list[list[Perm]], set_masks: np.ndarray, max_n: int, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
     """
-    Counts (sets, max_n+1) of one shared tree, and per set the length at
-    which its nodes passed the budget (0 if they never did). Breadth-first,
-    each level takes one step of three pieces: ``_level_masks`` (the
-    children's masks, block by block, and their histogram), ``_tally`` (the
-    counts, and which masks to keep) and, below all but the last level,
-    ``_next_level`` (the kept children, written in place).
+    Counts (sets, max_n+1) of one shared tree over the pattern ``groups``
+    and their one ``_plan``, and per set the length at which its nodes
+    passed the budget (0 if they never did). The root's mask carries the bit
+    of the group holding the empty pattern (0 if none does), so a set counts
+    the root as it counts every later row: iff their masks are disjoint.
+    Breadth-first, each level takes one step of three pieces:
+    ``_level_masks`` (the children's masks, block by block, and their
+    histogram), ``_tally`` (the counts, and which masks to keep) and, below
+    all but the last level, ``_next_level`` (the kept children, written in
+    place).
     """
+    plan = _plan(groups)
+    masks = np.array([sum(1 << j for j, group in enumerate(groups) if () in group)], dtype=np.uint64)
     counts = np.zeros((len(set_masks), max_n + 1), dtype=np.int64)
-    counts[:, 0] = 1
+    counts[:, 0] = (set_masks & masks) == 0
     failed_at = np.zeros(len(set_masks), dtype=np.int64)
     level = np.zeros((1, 0), dtype=_DTYPE)
-    masks = np.zeros(1, dtype=np.uint64)
     for n in range(max_n):
         live = np.flatnonzero(failed_at == 0)
         if level.shape[0] == 0 or live.size == 0:
@@ -584,9 +593,9 @@ def count_avoiders(
     >>> count_avoiders([(1,)], 3).counts
     (1, 0, 0, 0)
     """
-    budget = _node_budget_for(max_n, node_budget)
+    budget = check_node_budget(max_n, node_budget)
     sigma = pattern_set(patterns)
-    counts, _ = _grow_vector(sigma, _plan([sigma]), max_n, budget, with_level=False)
+    counts, _ = _grow_vector(sigma, max_n, budget, with_level=False)
     return CountSequence(counts=counts, patterns=sigma)
 
 
@@ -601,23 +610,21 @@ def count_avoiders_many(
     CountSequence, or the BudgetExceededError it would raise (returned, not
     raised). The sets share insertion trees of at most 64 pattern groups
     each (``_pack_trees``): related sets cost about one tree, not one each.
+    Each tree holds a run of consecutive sets, those holding the empty
+    pattern too (its group's bit is on the root's mask, so they count no
+    row), and the results are the trees' outcomes in turn.
 
-    >>> [s.counts for s in count_avoiders_many([[(1, 3, 2)], [(1, 2), (2, 1)]], 4)]
-    [(1, 1, 2, 5, 14), (1, 1, 0, 0, 0)]
+    >>> [s.counts for s in count_avoiders_many([[(1, 3, 2)], [(1, 2), (2, 1)], [(), (1, 2)]], 4)]
+    [(1, 1, 2, 5, 14), (1, 1, 0, 0, 0), (0, 0, 0, 0, 0)]
     """
-    budget = _node_budget_for(max_n, node_budget)
-    sigmas = [pattern_set(patterns) for patterns in pattern_sets]
-    results: list[CountSequence | BudgetExceededError] = [
-        CountSequence(counts=(0,) * (max_n + 1), patterns=sigma) for sigma in sigmas
-    ]
-    rooted = [i for i, sigma in enumerate(sigmas) if () not in sigma]  # the others hold the empty pattern
-    for tree, groups, set_masks in _pack_trees(sigmas, rooted):
-        counts, failed_at = _grow_shared(_plan(groups), set_masks, max_n, budget)
-        for place, i in enumerate(tree):
-            if failed_at[place]:
-                results[i] = _over_budget(budget, failed_at[place])
-            else:
-                results[i] = CountSequence(counts=tuple(counts[place].tolist()), patterns=sigmas[i])
+    budget = check_node_budget(max_n, node_budget)
+    results: list[CountSequence | BudgetExceededError] = []
+    for tree, groups, set_masks in _pack_trees([pattern_set(patterns) for patterns in pattern_sets]):
+        counts, failed_at = _grow_shared(groups, set_masks, max_n, budget)
+        results += [
+            _over_budget(budget, failed) if failed else CountSequence(counts=tuple(row), patterns=sigma)
+            for sigma, row, failed in zip(tree, counts.tolist(), failed_at.tolist())
+        ]
     return results
 
 
@@ -635,9 +642,9 @@ def avoider_rows(
     >>> avoider_rows([(1, 3, 2)], 3).tolist()
     [[1, 2, 3], [2, 1, 3], [2, 3, 1], [3, 1, 2], [3, 2, 1]]
     """
-    budget = _node_budget_for(n, node_budget)
+    budget = check_node_budget(n, node_budget)
     sigma = pattern_set(patterns)
-    _, level = _grow_vector(sigma, _plan([sigma]), n, budget, with_level=True)
+    _, level = _grow_vector(sigma, n, budget, with_level=True)
     return _distinct_rows(level)[0]
 
 
@@ -684,7 +691,7 @@ def count_avoiders_tree(patterns: Iterable[Sequence[int]], max_n: int) -> CountS
     >>> count_avoiders_tree([(1, 3, 2)], 5).counts
     (1, 1, 2, 5, 14, 42)
     """
-    budget = _node_budget_for(max_n, DEFAULT_NODE_BUDGET)
+    budget = check_node_budget(max_n, DEFAULT_NODE_BUDGET)
     sigma = pattern_set(patterns)
     level: list[Perm] = [()] if avoids((), sigma) else []
     counts = [len(level)]

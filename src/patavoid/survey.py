@@ -209,8 +209,11 @@ def polynomial_scan(
     and threshold come from ``seqanalysis.polynomial_tail``, the difference
     walk of ``detect_eventual_polynomial``, with no polynomial rebuilt.
     Sorted by degree, then canonical set. A record with fewer than max_n
-    counts raises, as in cluster_fingerprints.
+    counts raises, as in cluster_fingerprints. A max_degree below 0 raises
+    before any record is read.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
     need = max(4, max_degree + 3)
     if max_n < need:
         raise ValueError(f"need max_n >= {need} for a confirmed fit of degree up to {max_degree}, got {max_n}")
@@ -467,7 +470,7 @@ def run_survey_to_file(
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    check_node_budget(node_budget)
+    check_node_budget(max_n, node_budget)
     classes = enumerate_symmetry_classes(num_patterns, pattern_length)
     try:
         stored, complete = _load_survey(out_path)

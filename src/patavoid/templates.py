@@ -339,7 +339,7 @@ def three_segment_counts(max_n: int, variants: int = 1) -> CountSequence:
 
     counting words split by a pinned pair at positions i < j into three
     segments filled independently from the same family, with ``variants``
-    height assignments of the pinned pair per split.
+    height assignments of the pinned pair per split, at least 1.
 
     >>> three_segment_counts(4).counts
     (1, 1, 1, 3, 6)
@@ -348,6 +348,8 @@ def three_segment_counts(max_n: int, variants: int = 1) -> CountSequence:
     """
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
+    if variants < 1:
+        raise ValueError(f"variants must be >= 1, got {variants}")
     c = [1, 1]
     for n in range(2, max_n + 1):
         total = 0

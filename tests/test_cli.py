@@ -200,6 +200,10 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--seq", "1,2,three")
         assert code == 1 and "entry 3" in err
 
+    def test_three_terms_rejected(self, capsys):
+        code, out, err = run(capsys, "analyze", "--seq", "1,2,3")
+        assert (code, out, err) == (1, "", "error: need at least 4 terms\n")
+
     @pytest.mark.parametrize("seq", ["0,0,0,0", "1,2,3,4"])
     def test_negative_max_degree_rejected(self, capsys, seq):
         # a zero sequence was once classified before the bound was checked
@@ -382,6 +386,14 @@ class TestSurveyCommands:
         code, out, err = run(capsys, "survey", "polyscan", "--in", path, "--max-degree", "1", "--max-n", "9")
         assert (code, out) == (1, "")
         assert err == "error: record {123} has fewer than 9 counts\n"
+
+    def test_polyscan_negative_max_degree_on_budget_failures(self, capsys, tmp_path):
+        # no record carries counts, so the bound was once never checked
+        path = str(tmp_path / "e.jsonl")
+        survey = ["survey", "--num-patterns", "1", "--pattern-length", "3", "--max-n", "9", "--node-budget", "30"]
+        assert run(capsys, *survey, "--out", path)[0] == 0
+        code, out, err = run(capsys, "survey", "polyscan", "--in", path, "--max-degree", "-1", "--max-n", "9")
+        assert (code, out, err) == (1, "", "error: max_degree must be >= 0\n")
 
     @pytest.mark.parametrize("max_degree", ["0", "1"])
     def test_polyscan_at_four_terms(self, capsys, tmp_path, max_degree):

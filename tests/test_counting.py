@@ -7,10 +7,11 @@ import sys
 import tracemalloc
 from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from patavoid import counting, perms
@@ -563,21 +564,21 @@ def with_duplicates(sets, picks):
 short_sets = st.lists(st.sampled_from(SHORT), min_size=1, max_size=4)
 
 
-def reference_pack(sigmas, indices):
+def reference_pack(sigmas):
     """
     ``_pack_trees`` by bitmask signatures: a pattern's signature has the bit
     of each place in the tree of a set that holds it, equal signatures are
     one group, and the groups are numbered as the tree first meets them.
     """
     trees, tree, owners = [], [], {}
-    for i in indices:
+    for sigma in sigmas:
         grown = dict(owners)
-        for p in sigmas[i]:
+        for p in sigma:
             grown[p] = grown.get(p, 0) | 1 << len(tree)
         if tree and len(set(grown.values())) > 64:
             trees.append((tree, owners))
-            tree, grown = [], {p: 1 for p in sigmas[i]}
-        tree.append(i)
+            tree, grown = [], {p: 1 for p in sigma}
+        tree.append(sigma)
         owners = grown
     if tree:
         trees.append((tree, owners))
@@ -627,13 +628,13 @@ class TestCountAvoidersMany:
         rng = random.Random(23)
         seen = set()
         for _ in range(300):
-            pool = rng.sample(SHORT + LENGTH5, rng.choice([6, 24, len(SHORT + LENGTH5)]))
+            pool = rng.sample([()] + SHORT + LENGTH5, rng.choice([6, 24, 1 + len(SHORT + LENGTH5)]))
             sets = [pattern_set(rng.sample(pool, rng.randint(1, 5))) for _ in range(rng.randint(1, 80))]
-            indices = [i for i in range(len(sets)) if rng.random() < 0.9]  # some sets skipped
-            got = [(tree, groups, masks.tolist()) for tree, groups, masks in counting._pack_trees(sets, indices)]
-            assert got == reference_pack(sets, indices), (sets, indices)
+            got = [(tree, groups, masks.tolist()) for tree, groups, masks in counting._pack_trees(sets)]
+            assert got == reference_pack(sets), sets
+            assert [sigma for tree, _groups, _masks in got for sigma in tree] == sets  # consecutive runs, in order
             seen.add(len(got))
-        assert seen == {0, 1, 2}  # every set skipped, one tree, and lists that spill past 64 groups
+        assert seen == {1, 2}  # one tree, and lists that spill past 64 groups
 
     def test_naive_filter_helper(self):
         for sigma in [(), ((1,),), ((2, 1), (1, 2, 3)), ((1, 3, 2), (1, 2, 3, 4))]:
@@ -685,8 +686,8 @@ class TestCountAvoidersMany:
         # the subtrees below a level are independent given their rows and
         # masks, so a depth-first driver of the same step counts the same
         sets = [r.patterns for r in enumerate_symmetry_classes(4, 4)]
-        (tree, groups, set_masks), = counting._pack_trees(sets, list(range(len(sets))))
-        assert tree == list(range(1524))  # length-4 patterns make at most 24 groups: one tree
+        (tree, groups, set_masks), = counting._pack_trees(sets)
+        assert tree == sets  # length-4 patterns make at most 24 groups: one tree
         got = depth_first_counts(counting._plan(groups), set_masks, 9, split, block_rows)
         assert [tuple(row) for row in got.tolist()] == [seq.counts for seq in count_avoiders_many(sets, 9)]
 
@@ -731,7 +732,7 @@ class TestCountAvoidersMany:
 
     def test_more_than_64_groups_pack_into_trees(self):
         sets = [pattern_set([(1, 2, 3), p]) for p in LENGTH5[:70]]
-        assert len(list(counting._pack_trees(sets, list(range(len(sets)))))) == 2
+        assert len(list(counting._pack_trees(sets))) == 2
         for patterns, seq in zip(sets, count_avoiders_many(sets, 10)):
             assert seq == count_avoiders(patterns, 10), patterns
 
@@ -740,6 +741,41 @@ class TestCountAvoidersMany:
         got = count_avoiders_many(sets, 6)
         for patterns, seq in zip(sets, got):
             assert seq == count_avoiders(patterns, 6), patterns
+
+    @pytest.mark.parametrize("block_rows", [1, 7, counting._BLOCK_ROWS])
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.tuples(st.booleans(), st.lists(st.sampled_from(SHORT), max_size=4)), min_size=2, max_size=6),
+        st.integers(0, 400),
+    )
+    @example([(True, [(1, 2)]), (False, [(1, 3, 2)]), (True, []), (False, [(2, 1)])], 30)
+    @example([(True, [(1, 2, 3, 4)]), (False, [(1, 2, 3, 4)]), (True, [(1,)])], 0)
+    def test_empty_pattern_sets_share_trees(self, block_rows, flagged, budget):
+        # the sets holding () go into the trees of the others, the empty
+        # pattern's group bit on the root's mask, under budgets that most fail
+        assume(any(empty for empty, _ in flagged) and not all(empty for empty, _ in flagged))
+        sets = [[()] + patterns if empty else patterns for empty, patterns in flagged]
+        with mock.patch.object(counting, "_BLOCK_ROWS", block_rows):
+            got = count_avoiders_many(sets, 8, node_budget=budget)
+        assert len(list(counting._pack_trees([pattern_set(s) for s in sets]))) == 1
+        for patterns, outcome in zip(sets, got):
+            assert same_outcome(outcome, patterns, 8, node_budget=budget), (patterns, outcome)
+
+    def test_empty_pattern_sets_among_two_trees(self):
+        # length-5 singletons spill past 64 groups into a second tree; the
+        # sets holding () sit in both, and the results keep the input order
+        wide = [[(1, 2, 3), p] for p in LENGTH5[:70]]
+        sets = [[()]] + wide[:30] + [[(), (2, 1)]] + wide[30:] + [[(), (1, 3, 2)], [(1, 3, 2)]]
+        packed = counting._pack_trees([pattern_set(s) for s in sets])
+        trees = [[list(sigma) for sigma in tree] for tree, _groups, _masks in packed]
+        assert [len(tree) for tree in trees] == [63, 11]
+        assert [()] in trees[0] and [(), (2, 1)] in trees[0] and [(), (1, 3, 2)] in trees[1]
+        got = count_avoiders_many(sets, 8, node_budget=2000)
+        for patterns, outcome in zip(sets, got):
+            assert same_outcome(outcome, patterns, 8, node_budget=2000), (patterns, outcome)
+        assert got[0].counts == got[31].counts == got[-2].counts == (0,) * 9
+        assert str(got[-1]) == "insertion tree exceeded node budget 2000 at length 8"
+        assert {type(outcome) for outcome in got[1:31] + got[32:-2]} == {CountSequence, BudgetExceededError}
 
     def test_each_pattern_checked_once_per_call(self):
         # and once per process: the check is perms' memo, cleared here

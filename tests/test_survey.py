@@ -193,6 +193,16 @@ class TestPolynomialScan:
         with pytest.raises(ValueError):
             polynomial_scan([], 9, 7)
 
+    def test_negative_max_degree_rejected_before_any_record(self):
+        # the bound was once checked only on a record with counts, so a file
+        # of budget failures passed it
+        def records():
+            yield SurveyRecord(patterns=pattern_set([(1, 2, 3)]), orbit_size=2, error="budget", node_budget=30)
+            raise AssertionError("a record was read")
+
+        with pytest.raises(ValueError, match="max_degree must be >= 0"):
+            polynomial_scan(records(), 9, -1)
+
 
 class TestRandomExperiment:
     def test_deterministic_given_seed(self):

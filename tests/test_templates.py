@@ -210,6 +210,12 @@ class TestRecurrences:
     def test_double_variant_frozen(self):
         assert three_segment_counts(3, variants=2).counts == (1, 1, 2, 6)
 
+    @pytest.mark.parametrize("variants", [0, -1])
+    def test_variants_below_one_rejected(self, variants):
+        # variants=-1 once gave (1, 1, -1, -3, 0)
+        with pytest.raises(ValueError, match=f"variants must be >= 1, got {variants}"):
+            three_segment_counts(4, variants=variants)
+
     def test_single_matches_generation(self):
         rec = three_segment_counts(9)
         for n in range(10):
