@@ -177,8 +177,6 @@ def _cmd_template(args) -> int:
 
 def _cmd_template_gen(args) -> int:
     templates = parse_template_list(args.templates)
-    if args.n < 0:
-        raise ValueError("n must be >= 0")
     members = format_perm_rows(_family_at(templates, args.n))
     if args.emit == "json":
         _emit_json({
@@ -332,7 +330,7 @@ def _cmd_experiment(args) -> int:
         _emit_lines([
             f"{args.trials} trials of {args.num_patterns} random patterns, counts to n={args.max_n}, "
             f"seed {args.seed}:",
-            *(f"  {bucket:15s} {count:6d}  ({count / args.trials:6.1%})" for bucket, count in buckets.items()),
+            *(f"  {bucket:15s} {count:6d}  ({result.fractions[bucket]:6.1%})" for bucket, count in buckets.items()),
             f"  fib-like among non-polynomial: {result.fib_like_nonpoly}/{buckets['non_polynomial']}",
         ])
     return 0

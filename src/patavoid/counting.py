@@ -32,6 +32,15 @@ its reduced pattern is empty, with one empty embedding that every row
 matches and every gap completes. The empty pattern has no check at all:
 ``_grow_vector`` starts from no rows when the set holds it.
 
+``_gathered`` looks each check's value order and gap matrix up once per
+level and reduced-pattern length, before its chunk loop, and the memo of
+gap matrices is emptied before it would pass ``_GAP_CELLS`` (1 << 22)
+float32 cells. A deep count adds one or two matrices a level, the largest
+last, which the node budget does not see: uncapped, the memo held them
+all, and the 23 length-4 patterns other than 1234 to n=60 peaked at
+251 MB and {123, 132, 231} to n=160 at 667 MB, against 85 MB and 75 MB
+with the cap.
+
 ``rows_containing`` tests a whole array of permutations (the template
 certificates' family members) against a pattern set on the same lemma: a
 row contains a pattern iff its parent, the row with its maximum deleted,
@@ -162,7 +171,14 @@ def _combo_index(n: int, k: int) -> np.ndarray:
     return np.array(combos, dtype=np.intp).reshape(len(combos), k)
 
 
-@lru_cache(maxsize=None)
+# float32 cells past which the gap-matrix memo is emptied (16 MiB): a deep
+# count adds one or two matrices per level, the largest last, while the 1524
+# four-pattern classes to n=10, the 820-trial experiment and the template
+# certificates reuse at most 120,120 cells of them and never reach it
+_GAP_CELLS = 1 << 22
+_gap_memo: dict[tuple[int, int, tuple[tuple[int, ...], ...]], np.ndarray] = {}
+
+
 def _gap_matrix(n: int, k: int, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """
     (C, J*(n+1)) float32 matrix of J (C, n+1) blocks side by side, one per
@@ -172,7 +188,13 @@ def _gap_matrix(n: int, k: int, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarr
     positions. For a maximum at m, the entries before it must land left of p
     and the rest right of it, so p runs from one past the entry before it to
     the position of the entry after it (0 and n where there is none).
+    Memoized in ``_gap_memo``, which is emptied first where a new matrix
+    would take it past ``_GAP_CELLS`` cells.
     """
+    key = (n, k, m_idxs)
+    matrix = _gap_memo.get(key)
+    if matrix is not None:
+        return matrix
     combos = _combo_index(n, k)
     c = combos.shape[0]
     bounds = np.hstack([np.full((c, 1), -1), combos, np.full((c, 1), n)])
@@ -182,9 +204,15 @@ def _gap_matrix(n: int, k: int, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarr
         lo = bounds[:, list(positions)] + 1
         hi = bounds[:, [m + 1 for m in positions]]
         blocks.append(((gaps >= lo[:, :, None]) & (gaps <= hi[:, :, None])).any(axis=1))
-    return np.hstack(blocks).astype(np.float32)
+    matrix = np.hstack(blocks).astype(np.float32)
+    if sum(m.size for m in _gap_memo.values()) + matrix.size > _GAP_CELLS:
+        _gap_memo.clear()
+    _gap_memo[key] = matrix
+    return matrix
 
 
+# memoized, not recomputed at every level: sorting each check's positions
+# per level cost the 820-trial experiment about 4% of its time
 @lru_cache(maxsize=None)
 def _value_order(pattern: Perm) -> tuple[int, ...]:
     """Positions of the pattern sorted by value (for chain checks)."""
@@ -232,25 +260,30 @@ def _matches(cols: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     return match
 
 
-def _gathered(rows: np.ndarray, plan: Plan) -> Iterator[tuple[int, np.ndarray, Plan]]:
+def _gathered(rows: np.ndarray, plan: Plan) -> Iterator[tuple[int, np.ndarray, list]]:
     """
     The one gather and chunk loop under every vectorized check, the checks
     of a ``_plan``, shortest reduced pattern first. Per run of checks whose
     reduced patterns have one length k <= n, and per chunk of the (count, n)
     ``rows``, yields (start, cols, that run's checks), where cols is the
     (chunk, k, C) array of each row's entries at all C k-subsets of
-    positions. A chunk holds at most ``_MATCH_CELLS`` gathered cells, or one
-    row where a row holds more.
+    positions, and each check is (bits, the reduced pattern's value order,
+    its ``_gap_matrix``), looked up once for all the chunks. A chunk holds
+    at most ``_MATCH_CELLS`` gathered cells, or one row where a row holds
+    more.
     """
     count, n = rows.shape
     for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
         if k > n:
             break
         combos = _combo_index(n, k)
-        same_length = list(same_length)
+        checks = [
+            (bits, _value_order(reduced), _gap_matrix(n, k, m_idxs))
+            for reduced, bits, m_idxs in same_length
+        ]
         chunk = max(1, _MATCH_CELLS // (combos.shape[0] * max(k, 1)))
         for start in range(0, count, chunk):
-            yield start, rows[start:start + chunk, combos.T], same_length
+            yield start, rows[start:start + chunk, combos.T], checks
 
 
 def _level_bad_gaps(level: np.ndarray, plan: Plan) -> np.ndarray:
@@ -258,10 +291,7 @@ def _level_bad_gaps(level: np.ndarray, plan: Plan) -> np.ndarray:
     rows, n = level.shape
     bad = np.zeros((rows, n + 1), dtype=bool)
     for start, cols, checks in _gathered(level, plan):
-        hits = sum(
-            _matches(cols, _value_order(reduced)).astype(np.float32) @ _gap_matrix(n, len(reduced), m_idxs)
-            for reduced, _bits, m_idxs in checks
-        )
+        hits = sum(_matches(cols, order).astype(np.float32) @ gaps for _bits, order, gaps in checks)
         bad[start:start + len(cols)] |= hits > 0.5
     return bad
 
@@ -452,8 +482,8 @@ def _child_masks(block: np.ndarray, masks: np.ndarray, plan: Plan) -> np.ndarray
     n = block.shape[1]
     out = np.repeat(masks[:, None], n + 1, axis=1)
     for start, cols, checks in _gathered(block, plan):
-        for reduced, bits, m_idxs in checks:
-            hits = _matches(cols, _value_order(reduced)).astype(np.float32) @ _gap_matrix(n, len(reduced), m_idxs) > 0.5
+        for bits, order, gaps in checks:
+            hits = _matches(cols, order).astype(np.float32) @ gaps > 0.5
             hits = hits.reshape(len(cols), len(bits), n + 1)
             for j, bit in enumerate(bits):
                 out[start:start + len(cols)] |= hits[:, j] * bit

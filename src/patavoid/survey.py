@@ -35,6 +35,10 @@ file name the file and line, and they are of two kinds:
 
 Pattern texts are read and written through the memos of ``perms``, so each
 distinct text is parsed and formatted once per process.
+
+An experiment is its trials: ``random_experiment`` draws, counts and
+classifies each trial, once, and ``ExperimentResult`` reads every tally
+(buckets, fractions, fib-like counts) off them.
 """
 from __future__ import annotations
 
@@ -42,6 +46,7 @@ import gc
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -265,21 +270,46 @@ class TrialResult:
 
 @dataclass
 class ExperimentResult:
+    """One experiment's trials; every tally is read off ``results``."""
+
     num_patterns: int
     max_n: int
-    trials: int
     seed: int
-    bucket_counts: dict[str, int]
-    # non-polynomial trials whose tail obeys the drift recurrence for at
-    # least six consecutive steps up to the horizon (the by-eye standard);
-    # fib_like_strict applies the classifier's seven-step standard instead
-    fib_like_nonpoly: int
-    fib_like_strict: int
     results: list[TrialResult]
+
+    @property
+    def trials(self) -> int:
+        return len(self.results)
+
+    @property
+    def bucket_counts(self) -> dict[str, int]:
+        """Trials per bucket, in ``BUCKETS`` order."""
+        tally = Counter(r.bucket for r in self.results)
+        return {b: tally[b] for b in BUCKETS}
 
     @property
     def fractions(self) -> dict[str, float]:
         return {k: v / self.trials for k, v in self.bucket_counts.items()}
+
+    @property
+    def fib_like_strict(self) -> int:
+        """Trials the classifier itself calls fib-like (five confirmations)."""
+        return sum(r.report.verdict == "fib_like" for r in self.results)
+
+    @property
+    def fib_like_nonpoly(self) -> int:
+        """
+        Non-polynomial trials whose tail obeys the drift recurrence for at
+        least six consecutive steps up to the horizon (two to solve for the
+        drift, four confirming). The classifier proper wants five
+        confirmations; on a 13-step horizon that misses sequences that only
+        settle seven steps before the end, which the original by-eye survey
+        counted. Every strict fit also passes this check.
+        """
+        return sum(
+            r.bucket == "non_polynomial" and len(r.counts) >= 9 and detect_fib_like(r.counts, min_confirmations=4) is not None
+            for r in self.results
+        )
 
     def to_json_dict(self) -> dict:
         nonpoly = self.bucket_counts["non_polynomial"]
@@ -327,43 +357,21 @@ def random_experiment(
 ) -> ExperimentResult:
     """
     Draw ``trials`` random subsets of the length-4 patterns (with
-    replacement across trials), count avoiders to max_n, classify each full
-    counting sequence, and tabulate the verdict buckets. Trials run in
-    order in the calling process. ``workers`` is ignored, and kept only for
-    callers that pass it (``bench/workload.py``).
-
-    The drift-recurrence tally over the non-polynomial trials accepts a
-    tail of six consecutive recurrence steps (two to solve for the drift,
-    four confirming). The classifier proper wants five confirmations; on a
-    13-step horizon that misses sequences that only settle seven steps
-    before the end, which the original by-eye survey counted. Both tallies
-    are reported.
+    replacement across trials), count avoiders to max_n and classify each
+    full counting sequence, once per trial; the result's properties tally
+    the trials. Trials run in order in the calling process. ``workers`` is
+    ignored, and kept only for callers that pass it (``bench/workload.py``).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_n < 3:
         raise ValueError(f"max_n must be >= 3 for the 4 terms classify needs, got {max_n}")
-    bucket_counts = {b: 0 for b in BUCKETS}
     results = []
     for trial in range(trials):
         patterns = sample_pattern_subset(seed, trial, num_patterns)
         counts = count_avoiders(patterns, max_n, node_budget=node_budget).counts
         results.append(TrialResult(trial, patterns, counts, classify(list(counts))))
-        bucket_counts[results[-1].bucket] += 1
-    nonpoly = [r.counts for r in results if r.bucket == "non_polynomial"]
-    fib_strict = sum(r.report.verdict == "fib_like" for r in results)
-    # every strict fit also passes the looser by-eye check
-    fib = sum(len(c) >= 9 and detect_fib_like(c, min_confirmations=4) is not None for c in nonpoly)
-    return ExperimentResult(
-        num_patterns=num_patterns,
-        max_n=max_n,
-        trials=trials,
-        seed=seed,
-        bucket_counts=bucket_counts,
-        fib_like_nonpoly=fib,
-        fib_like_strict=fib_strict,
-        results=results,
-    )
+    return ExperimentResult(num_patterns=num_patterns, max_n=max_n, seed=seed, results=results)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ entirely above one at a lower entry), where a '0' slot holds exactly one
 element, a '1' slot holds any number including zero, every subword is
 strictly shorter than the whole, and each nonempty subword, renumbered to
 1..len, belongs to the family itself. Length 0 and 1 families are fixed at
-{()} and {(1,)}.
+{()} and {(1,)}. ``template()`` is the one way in: ``template_set``
+rebuilds every (order, slots) entry through it, ``Template`` instances
+too, so generation and certification only ever see validated templates,
+and ``_family_at`` alone refuses a negative length.
 
 Because the value ranges stack totally, each subword occupies a consecutive
 block of values, so generation is mechanical: choose a template, choose the
@@ -58,7 +61,7 @@ class Template(NamedTuple):
     slots: str  # '1' = free subword (may be empty), '0' = exactly one element
 
     def __str__(self) -> str:
-        return format_template(self)
+        return f"{format_perm(self.order)}:{self.slots}"
 
 
 TemplateSet = tuple[Template, ...]
@@ -74,16 +77,12 @@ def template(order: Sequence[int], slots: str) -> Template:
     return Template(p, slots)
 
 
-def _as_template(t: Template | tuple) -> Template:
-    if isinstance(t, Template):
-        return t
-    order, slots = t
-    return template(order, slots)
-
-
 def template_set(templates: Iterable[Template | tuple]) -> TemplateSet:
-    """Normalize to a sorted, deduplicated, nonempty tuple of templates."""
-    normalized = {_as_template(t) for t in templates}
+    """
+    Validate every (order, slots) entry through ``template``, ``Template``
+    instances too, and normalize to a sorted, deduplicated, nonempty tuple.
+    """
+    normalized = {template(order, slots) for order, slots in templates}
     if not normalized:
         raise ValueError("template set must be nonempty")
     return tuple(sorted(normalized))
@@ -114,10 +113,6 @@ def parse_template_list(text: str) -> TemplateSet:
         except ValueError as e:
             raise ValueError(f"bad template list: entry {i + 1}: {e}") from None
     return template_set(out)
-
-
-def format_template(t: Template) -> str:
-    return f"{format_perm(t.order)}:{t.slots}"
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +204,13 @@ def generate_family(templates: Iterable[Template | tuple], n: int) -> frozenset[
     >>> sorted(generate_family([((2, 3, 1), "101")], 3))
     [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return frozenset(map(tuple, _family_at(template_set(templates), n).tolist()))
 
 
 def _family_at(tset: TemplateSet, n: int) -> np.ndarray:
+    """The length-n members of ``_family``, under every family caller's one length rule: n >= 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     for m in range(2, n):  # warm the cache iteratively; keeps recursion shallow
         _family(tset, m)
     return _family(tset, n)
@@ -229,18 +225,22 @@ class Certificate:
     """
     Outcome of the finite avoidance check for (templates, patterns).
 
-    verified=True means no family member up to length ``bound`` contains any
-    of the patterns, which by the certification theorem extends to every
-    length. Otherwise ``witness`` is the smallest offending member (smallest
-    length, then lexicographic) and ``witness_pattern`` what it contains.
+    ``witness`` is the smallest family member up to length ``bound`` that
+    contains one of the patterns (smallest length, then lexicographic), and
+    ``witness_pattern`` what it contains; both are None when no member does,
+    which by the certification theorem extends to every length.
     """
 
     templates: TemplateSet
     patterns: PatternSet
     bound: int
-    verified: bool
     witness: Perm | None = None
     witness_pattern: Perm | None = None
+
+    @property
+    def verified(self) -> bool:
+        """Whether the family avoids the patterns at every length: no witness."""
+        return self.witness is None
 
     @property
     def witness_length(self) -> int | None:
@@ -271,10 +271,7 @@ def certify_avoidance(
         raise ValueError("pattern set must be nonempty, with nonempty patterns")
     bound = max(certification_bound(tset, len(s)) for s in sigma)
     witness, witness_pattern = _first_witness(tset, sigma, bound)
-    return Certificate(
-        templates=tset, patterns=sigma, bound=bound,
-        verified=witness is None, witness=witness, witness_pattern=witness_pattern,
-    )
+    return Certificate(templates=tset, patterns=sigma, bound=bound, witness=witness, witness_pattern=witness_pattern)
 
 
 def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tuple[Perm | None, Perm | None]:

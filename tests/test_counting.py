@@ -281,6 +281,32 @@ class TestKernel:
         assert count_avoiders(SHARED_123, 8).counts == (1, 1, 2, 6, 20, 70, 252, 924, 3432)
         assert rows_per_call == [6, 20, 70, 252, 924]  # the levels of length 3..7, one chunk each
 
+    def test_gap_memo_capped_on_a_deep_thin_count(self, monkeypatch):
+        # 123, 132 and 231 leave n avoiders of length n, whose checks take two (C(n, 2), n+1)
+        # gap matrices a level: past the 2000-cell cap from n=15 on, so the memo empties as the
+        # count deepens; one row per chunk, so a lookup per chunk would show
+        cap = 2000
+        monkeypatch.setattr(counting, "_GAP_CELLS", cap)
+        monkeypatch.setattr(counting, "_MATCH_CELLS", 100)
+        monkeypatch.setattr(counting, "_gap_memo", {})
+        level_cells, held, lookups = {}, [], []
+        build = counting._gap_matrix
+
+        def watched(n, k, m_idxs):
+            matrix = build(n, k, m_idxs)
+            level_cells[n, m_idxs] = matrix.size
+            lookups.append((n, k, m_idxs))
+            held.append((n, sum(m.size for m in counting._gap_memo.values())))
+            return matrix
+
+        monkeypatch.setattr(counting, "_gap_matrix", watched)
+        sigma = [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
+        assert count_avoiders(sigma, 26) == count_avoiders_tree(sigma, 26)
+        one_level = {n: sum(size for (m, _), size in level_cells.items() if m == n) for n, _ in held}
+        assert all(cells <= cap + one_level[n] for n, cells in held)
+        assert sum(level_cells.values()) > 10 * cap  # so the memo was emptied many times over
+        assert len(lookups) == len(set(lookups)) == 2 * 24  # once a level for all its chunks, lengths 2..25
+
     def test_shared_reduced_pattern_matches_tree_oracle(self):
         # the oracle takes about 3 s to n=9 here, and about 12 s to n=10
         assert count_avoiders(SHARED_123, 9) == count_avoiders_tree(SHARED_123, 9)

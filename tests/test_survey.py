@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -12,7 +13,7 @@ import pytest
 from patavoid import survey
 from patavoid.counting import BudgetExceededError, count_avoiders
 from patavoid.perms import SYMMETRIES, all_perms, apply_symmetry, canonicalize_set, pattern_set, symmetry_orbit
-from patavoid.seqanalysis import ClassificationReport
+from patavoid.seqanalysis import ClassificationReport, classify, detect_fib_like
 from patavoid.survey import (
     SurveyRecord,
     bucket_of,
@@ -210,6 +211,24 @@ class TestRandomExperiment:
         b = random_experiment(12, 9, 25, seed=5)
         assert a.bucket_counts == b.bucket_counts
         assert [t.patterns for t in a.results] == [t.patterns for t in b.results]
+
+    def test_tallies_read_off_classified_trials(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(survey, "classify", lambda seq: calls.append(seq) or classify(seq))
+        result = random_experiment(12, 13, 60, seed=1)
+        assert [f.name for f in dataclasses.fields(result)] == ["num_patterns", "max_n", "seed", "results"]
+        buckets = [t.bucket for t in result.results]
+        nonpoly = [t.counts for t in result.results if t.bucket == "non_polynomial"]
+        assert result.trials == len(result.results) == 60
+        assert result.bucket_counts == {b: buckets.count(b) for b in survey.BUCKETS}
+        assert list(result.bucket_counts) == list(survey.BUCKETS)
+        assert result.fractions == {b: buckets.count(b) / 60 for b in survey.BUCKETS}
+        assert result.fib_like_strict == sum(t.report.verdict == "fib_like" for t in result.results)
+        assert result.fib_like_nonpoly == sum(detect_fib_like(c, min_confirmations=4) is not None for c in nonpoly)
+        # this draw tells the three tallies apart
+        assert (len(nonpoly), result.fib_like_nonpoly, result.fib_like_strict) == (6, 4, 1)
+        # classified in the run, once per trial, and never again for a tally
+        assert calls == [list(t.counts) for t in result.results]
 
     def test_different_seeds_differ(self):
         a = random_experiment(12, 9, 25, seed=5)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -9,6 +10,7 @@ from patavoid import counting, templates
 from patavoid.counting import BudgetExceededError, count_avoiders, enumerate_avoiders
 from patavoid.perms import all_perms, contains, flatten, is_perm, parse_pattern_list, pattern_set
 from patavoid.templates import (
+    Certificate,
     Template,
     _family_at,
     certification_bound,
@@ -117,11 +119,40 @@ class TestParsing:
         with pytest.raises(ValueError):
             template_set([])
 
+    def test_wrong_length_entry(self):
+        with pytest.raises(ValueError):
+            template_set([((1, 2),)])
+
+
+# Template instances that bypass template(): an order that is no permutation, a non-binary
+# slot, a length mismatch and the empty template
+MALFORMED = [Template((2, 2), "11"), Template((1, 2), "1x"), Template((1, 2, 3), "11"), Template((), "")]
+FAMILY_CALLS = {
+    "template_set": lambda t: template_set([T_STACK, t]),
+    "generate_family": lambda t: generate_family([t], 3),
+    "certify_avoidance": lambda t: certify_avoidance([t], [(2, 1)]),
+    "verify_family_avoids": lambda t: verify_family_avoids([t], [(2, 1)], 4),
+}
+
+
+@pytest.mark.parametrize("call", FAMILY_CALLS)
+@pytest.mark.parametrize("bad", MALFORMED, ids=repr)
+def test_malformed_template_refused_on_every_path(bad, call):
+    with pytest.raises(ValueError) as want:
+        template(*bad)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        FAMILY_CALLS[call](bad)
+
 
 class TestGeneration:
     def test_base_cases(self):
         assert generate_family([T_STACK], 0) == {()}
         assert generate_family([T_STACK], 1) == {(1,)}
+
+    @pytest.mark.parametrize("members", [lambda n: generate_family([T_STACK], n), lambda n: _family_at(template_set([T_STACK]), n)])
+    def test_negative_length_rejected(self, members):
+        with pytest.raises(ValueError, match=re.escape("n must be >= 0")):
+            members(-1)
 
     def test_stack_small(self):
         assert generate_family([T_STACK], 2) == {(1, 2), (2, 1)}
@@ -249,10 +280,12 @@ class TestCertification:
         assert cert.verified
         assert cert.bound == 5
         assert cert.witness is None
+        assert cert.verified is (cert.witness is None)
 
     def test_five_slot_certifies(self):
         cert = certify_avoidance([T_FIVE], [(2, 1, 4, 3), (2, 4, 1, 3), (3, 1, 4, 2)])
         assert cert.verified and cert.bound == 10
+        assert cert.verified is (cert.witness is None)
 
     def test_failing_certificate_smallest_witness(self):
         cert = certify_avoidance([template((1, 2), "11")], [(1, 2)])
@@ -260,6 +293,12 @@ class TestCertification:
         assert cert.witness == (1, 2)
         assert cert.witness_length == 2
         assert cert.witness_pattern == (1, 2)
+        assert cert.verified is (cert.witness is None)
+
+    def test_verdict_is_read_off_the_witness(self):
+        assert [f.name for f in dataclasses.fields(Certificate)] == ["templates", "patterns", "bound", "witness", "witness_pattern"]
+        assert Certificate(template_set([T_STACK]), pattern_set([(1, 2)]), 5, witness=(1, 2)).verified is False
+        assert Certificate(template_set([T_STACK]), pattern_set([(1, 3, 2)]), 5).verified is True
 
     def test_empty_pattern_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +366,7 @@ class TestWitnessOrder:
         want = scalar_first_witness(tset, sigma, cert.bound)
         assert want == (witness is None, witness, witness_pattern)
         assert (cert.verified, cert.witness, cert.witness_pattern) == want
+        assert cert.verified is (cert.witness is None)
         assert verify_family_avoids(tset, sigma, cert.bound) == want[:2]
 
     def test_empty_pattern_witness_at_length_zero(self):
