@@ -32,14 +32,14 @@ its reduced pattern is empty, with one empty embedding that every row
 matches and every gap completes. The empty pattern has no check at all:
 ``_grow_vector`` starts from no rows when the set holds it.
 
-``_gathered`` looks each check's value order and gap matrix up once per
-level and reduced-pattern length, before its chunk loop, and the memo of
-gap matrices is emptied before it would pass ``_GAP_CELLS`` (1 << 22)
-float32 cells. A deep count adds one or two matrices a level, the largest
-last, which the node budget does not see: uncapped, the memo held them
-all, and the 23 length-4 patterns other than 1234 to n=60 peaked at
-251 MB and {123, 132, 231} to n=160 at 667 MB, against 85 MB and 75 MB
-with the cap.
+Each check of a ``_plan`` carries its reduced pattern's value order,
+sorted once per plan. The tables the kernel reuses, each level's
+combinations (``_combo_index``) and gap matrices, sit in one memo,
+``_memo``, which ``_gathered`` alone reads, once per level and
+reduced-pattern length before its chunk loop, and which is emptied before
+an insert would take its tables past ``_MEMO_BYTES`` (16 MiB). A deep
+count adds a few tables a level, the largest last, which the node budget
+does not see; the cap holds them beside the level being grown.
 
 ``rows_containing`` tests a whole array of permutations (the template
 certificates' family members) against a pattern set on the same lemma: a
@@ -93,7 +93,6 @@ from __future__ import annotations
 import ctypes
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -164,38 +163,34 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 
-@lru_cache(maxsize=None)
+# bytes past which ``_memo``, the kernel's one memo of the tables it reuses
+# (each level's combinations and gap matrices), is emptied before an insert
+# (16 MiB): a deep count adds a few tables per level, the largest last, while
+# the 1524 four-pattern classes to n=10, the 820-trial experiment and the
+# template certificates hold at most about 0.5 MB of them and never reach it
+_MEMO_BYTES = 1 << 24
+_memo: dict[tuple, np.ndarray] = {}
+
+
 def _combo_index(n: int, k: int) -> np.ndarray:
     """All k-subsets of range(n) as a (C, k) index array, lexicographic."""
     combos = list(itertools.combinations(range(n), k))
     return np.array(combos, dtype=np.intp).reshape(len(combos), k)
 
 
-# float32 cells past which the gap-matrix memo is emptied (16 MiB): a deep
-# count adds one or two matrices per level, the largest last, while the 1524
-# four-pattern classes to n=10, the 820-trial experiment and the template
-# certificates reuse at most 120,120 cells of them and never reach it
-_GAP_CELLS = 1 << 22
-_gap_memo: dict[tuple[int, int, tuple[tuple[int, ...], ...]], np.ndarray] = {}
-
-
-def _gap_matrix(n: int, k: int, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarray:
+def _gap_matrix(n: int, combos: np.ndarray, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """
     (C, J*(n+1)) float32 matrix of J (C, n+1) blocks side by side, one per
     tuple of sorted maximum positions in ``m_idxs``: 1 where inserting the
-    new maximum at gap p completes embedding c of a reduced pattern to an
-    occurrence of a full pattern whose maximum was at one of that block's
-    positions. For a maximum at m, the entries before it must land left of p
-    and the rest right of it, so p runs from one past the entry before it to
-    the position of the entry after it (0 and n where there is none).
-    Memoized in ``_gap_memo``, which is emptied first where a new matrix
-    would take it past ``_GAP_CELLS`` cells.
+    new maximum at gap p completes embedding c, the c-th row of the (C, k)
+    ``combos``, of a reduced pattern to an occurrence of a full pattern whose
+    maximum was at one of that block's positions. For a maximum at m, the
+    entries before it must land left of p and the rest right of it, so p
+    runs from one past the entry before it to the position of the entry
+    after it (0 and n where there is none). Only ``_gathered`` builds it,
+    on a miss in the one memo ``_memo``, which it looks up once per level
+    and holds under ``_MEMO_BYTES`` with the level's combinations.
     """
-    key = (n, k, m_idxs)
-    matrix = _gap_memo.get(key)
-    if matrix is not None:
-        return matrix
-    combos = _combo_index(n, k)
     c = combos.shape[0]
     bounds = np.hstack([np.full((c, 1), -1), combos, np.full((c, 1), n)])
     gaps = np.arange(n + 1)
@@ -204,35 +199,24 @@ def _gap_matrix(n: int, k: int, m_idxs: tuple[tuple[int, ...], ...]) -> np.ndarr
         lo = bounds[:, list(positions)] + 1
         hi = bounds[:, [m + 1 for m in positions]]
         blocks.append(((gaps >= lo[:, :, None]) & (gaps <= hi[:, :, None])).any(axis=1))
-    matrix = np.hstack(blocks).astype(np.float32)
-    if sum(m.size for m in _gap_memo.values()) + matrix.size > _GAP_CELLS:
-        _gap_memo.clear()
-    _gap_memo[key] = matrix
-    return matrix
+    return np.hstack(blocks).astype(np.float32)
 
 
-# memoized, not recomputed at every level: sorting each check's positions
-# per level cost the 820-trial experiment about 4% of its time
-@lru_cache(maxsize=None)
-def _value_order(pattern: Perm) -> tuple[int, ...]:
-    """Positions of the pattern sorted by value (for chain checks)."""
-    return tuple(sorted(range(len(pattern)), key=pattern.__getitem__))
-
-
-# what _plan builds: one (reduced, bits, m_idxs) check per distinct reduced pattern
-Plan = list[tuple[Perm, np.ndarray, tuple[tuple[int, ...], ...]]]
+# what _plan builds: one (order, bits, m_idxs) check per distinct reduced pattern
+Plan = list[tuple[tuple[int, ...], np.ndarray, tuple[tuple[int, ...], ...]]]
 
 
 def _plan(groups: Sequence[Iterable[Perm]]) -> Plan:
     """
-    One (reduced, bits, m_idxs) check per distinct reduced pattern (a
-    pattern with its maximum deleted) of the pattern ``groups``, shortest
-    first: the uint64 mask bits ``1 << j`` of the groups j holding a pattern
-    that reduces to it, and each such group's sorted maximum positions.
-    Patterns that share a reduced pattern differ only in where their maximum
-    was, so one order check serves them all. The empty pattern has no check:
-    the vector grower starts from no rows when the set holds it, and the
-    shared tree's root carries the bit of the group that holds it.
+    One (order, bits, m_idxs) check per distinct reduced pattern (a pattern
+    with its maximum deleted) of the pattern ``groups``, shortest first: its
+    value order (its positions sorted by value), the uint64 mask bits
+    ``1 << j`` of the groups j holding a pattern that reduces to it, and
+    each such group's sorted maximum positions. Patterns that share a
+    reduced pattern differ only in where their maximum was, so one order
+    check serves them all. The empty pattern has no check: the vector
+    grower starts from no rows when the set holds it, and the shared tree's
+    root carries the bit of the group that holds it.
     """
     merged: dict[Perm, dict[int, set[int]]] = {}
     for j, group in enumerate(groups):
@@ -241,7 +225,11 @@ def _plan(groups: Sequence[Iterable[Perm]]) -> Plan:
                 m_idx = s.index(len(s))
                 merged.setdefault(s[:m_idx] + s[m_idx + 1:], {}).setdefault(j, set()).add(m_idx)
     return [
-        (reduced, np.array([1 << j for j in by_group], dtype=np.uint64), tuple(tuple(sorted(m)) for m in by_group.values()))
+        (
+            tuple(sorted(range(len(reduced)), key=reduced.__getitem__)),
+            np.array([1 << j for j in by_group], dtype=np.uint64),
+            tuple(tuple(sorted(m)) for m in by_group.values()),
+        )
         for reduced, by_group in sorted(merged.items(), key=lambda item: (len(item[0]), item[0]))
     ]
 
@@ -263,23 +251,33 @@ def _matches(cols: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
 def _gathered(rows: np.ndarray, plan: Plan) -> Iterator[tuple[int, np.ndarray, list]]:
     """
     The one gather and chunk loop under every vectorized check, the checks
-    of a ``_plan``, shortest reduced pattern first. Per run of checks whose
-    reduced patterns have one length k <= n, and per chunk of the (count, n)
-    ``rows``, yields (start, cols, that run's checks), where cols is the
-    (chunk, k, C) array of each row's entries at all C k-subsets of
-    positions, and each check is (bits, the reduced pattern's value order,
-    its ``_gap_matrix``), looked up once for all the chunks. A chunk holds
-    at most ``_MATCH_CELLS`` gathered cells, or one row where a row holds
-    more.
+    of a ``_plan``, shortest first. Per run of checks whose value orders
+    have one length k <= n, and per chunk of the (count, n) ``rows``, yields
+    (start, cols, that run's checks), where cols is the (chunk, k, C) array
+    of each row's entries at all C k-subsets of positions, and each check is
+    (bits, order, its ``_gap_matrix``). Both tables are looked up in
+    ``_memo`` once for all the chunks, here and nowhere else, and built on a
+    miss; the memo is emptied first where an insert would take it past
+    ``_MEMO_BYTES``. A chunk holds at most ``_MATCH_CELLS`` gathered cells,
+    or one row where a row holds more.
     """
+
+    def table(key: tuple, build, *args) -> np.ndarray:
+        if key not in _memo:
+            built = build(*args)
+            if sum(t.nbytes for t in _memo.values()) + built.nbytes > _MEMO_BYTES:
+                _memo.clear()
+            _memo[key] = built
+        return _memo[key]
+
     count, n = rows.shape
     for k, same_length in itertools.groupby(plan, key=lambda check: len(check[0])):
         if k > n:
             break
-        combos = _combo_index(n, k)
+        combos = table((n, k), _combo_index, n, k)
         checks = [
-            (bits, _value_order(reduced), _gap_matrix(n, k, m_idxs))
-            for reduced, bits, m_idxs in same_length
+            (bits, order, table((n, k, m_idxs), _gap_matrix, n, combos, m_idxs))
+            for order, bits, m_idxs in same_length
         ]
         chunk = max(1, _MATCH_CELLS // (combos.shape[0] * max(k, 1)))
         for start in range(0, count, chunk):

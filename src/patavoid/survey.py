@@ -63,7 +63,9 @@ from .perms import (
 )
 from .seqanalysis import ClassificationReport, classify, detect_fib_like, polynomial_tail
 
-SUBSET_BUDGET = 10**7  # most subsets enumerate_symmetry_classes lets perms.symmetry_classes walk
+# most subsets enumerate_symmetry_classes lets perms.symmetry_classes walk, and
+# most patterns it lets it map under the symmetries (L! for m = 0 or m = L! too)
+SUBSET_BUDGET = 10**7
 
 
 @dataclass
@@ -105,8 +107,8 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
     One record stub (counts not yet filled in) per symmetry class of the
     num_patterns-subsets of the length-pattern_length permutations, from
     ``perms.symmetry_classes``: sorted by canonical set, with orbit sizes
-    adding up to the total number of subsets. More subsets than
-    SUBSET_BUDGET raise BudgetExceededError.
+    adding up to the total number of subsets. More subsets, or more
+    patterns, than SUBSET_BUDGET raise BudgetExceededError.
 
     >>> [r.orbit_size for r in enumerate_symmetry_classes(1, 3)]
     [2, 4]
@@ -115,11 +117,12 @@ def enumerate_symmetry_classes(num_patterns: int, pattern_length: int) -> list[S
         raise ValueError(f"num_patterns must be >= 0, got {num_patterns}")
     if pattern_length < 1:
         raise ValueError(f"pattern_length must be >= 1, got {pattern_length}")
-    total = math.comb(math.factorial(pattern_length), num_patterns)
+    universe = math.factorial(pattern_length)
+    if universe > SUBSET_BUDGET:  # symmetry_classes maps every pattern before it walks a subset
+        raise BudgetExceededError(f"{universe} patterns of length {pattern_length} exceed the survey budget {SUBSET_BUDGET}")
+    total = math.comb(universe, num_patterns)
     if total > SUBSET_BUDGET:
-        raise BudgetExceededError(
-            f"{total} subsets exceed the survey budget {SUBSET_BUDGET}"
-        )
+        raise BudgetExceededError(f"{total} subsets exceed the survey budget {SUBSET_BUDGET}")
     return [
         SurveyRecord(patterns=patterns, orbit_size=orbit_size)
         for patterns, orbit_size in symmetry_classes(num_patterns, pattern_length)

@@ -254,6 +254,16 @@ class TestSurveyCommands:
         code, out, _ = run(capsys, "survey", "wilf", "--in", str(path), "--emit", "json")
         assert code == 0 and json.loads(out)["horizon"] == 3
 
+    def test_run_refuses_a_pattern_universe_past_the_budget(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr("patavoid.survey.symmetry_classes", lambda *args: pytest.fail("symmetry_classes called"))
+        path = tmp_path / "s.jsonl"
+        code, out, err = run(
+            capsys, "survey", "--num-patterns", "0", "--pattern-length", "11", "--max-n", "3", "--out", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err == "budget exhausted: 39916800 patterns of length 11 exceed the survey budget 10000000\n"
+        assert not path.exists()
+
     def test_run_max_n_zero_rejected(self, capsys, tmp_path):
         path = tmp_path / "s.jsonl"
         code, out, err = run(

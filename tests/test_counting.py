@@ -1,10 +1,12 @@
 import ctypes
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -25,8 +27,9 @@ from patavoid.counting import (
     count_avoiders_tree,
     enumerate_avoiders,
 )
-from patavoid.perms import all_perms, apply_symmetry_to_set, avoids, contains, flatten, pattern_set
-from patavoid.survey import enumerate_symmetry_classes, sample_pattern_subset
+from patavoid.perms import all_perms, apply_symmetry_to_set, avoids, contains, flatten, parse_pattern_list, pattern_set
+from patavoid.survey import enumerate_symmetry_classes, random_experiment, sample_pattern_subset
+from patavoid.templates import certify_avoidance, parse_template
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012)
 
@@ -281,31 +284,67 @@ class TestKernel:
         assert count_avoiders(SHARED_123, 8).counts == (1, 1, 2, 6, 20, 70, 252, 924, 3432)
         assert rows_per_call == [6, 20, 70, 252, 924]  # the levels of length 3..7, one chunk each
 
-    def test_gap_memo_capped_on_a_deep_thin_count(self, monkeypatch):
-        # 123, 132 and 231 leave n avoiders of length n, whose checks take two (C(n, 2), n+1)
-        # gap matrices a level: past the 2000-cell cap from n=15 on, so the memo empties as the
-        # count deepens; one row per chunk, so a lookup per chunk would show
-        cap = 2000
-        monkeypatch.setattr(counting, "_GAP_CELLS", cap)
+    def test_one_memo_capped_on_a_deep_thin_count(self, monkeypatch):
+        # 123, 132 and 231 leave n avoiders of length n, whose checks take one (C(n, 2), 2)
+        # combination array and two (C(n, 2), n+1) gap matrices a level: past the 8000-byte cap
+        # from n=12 on, so the memo empties as the count deepens; one row per chunk, so a lookup
+        # per chunk would show
+        cap = 8000
+        monkeypatch.setattr(counting, "_MEMO_BYTES", cap)
         monkeypatch.setattr(counting, "_MATCH_CELLS", 100)
-        monkeypatch.setattr(counting, "_gap_memo", {})
-        level_cells, held, lookups = {}, [], []
-        build = counting._gap_matrix
+        built, held = [], []
 
-        def watched(n, k, m_idxs):
-            matrix = build(n, k, m_idxs)
-            level_cells[n, m_idxs] = matrix.size
-            lookups.append((n, k, m_idxs))
-            held.append((n, sum(m.size for m in counting._gap_memo.values())))
-            return matrix
+        class Watched(dict):
+            def __setitem__(self, key, table):
+                super().__setitem__(key, table)
+                held.append((key[0], sum(t.nbytes for t in self.values())))
 
-        monkeypatch.setattr(counting, "_gap_matrix", watched)
+        memo = Watched()
+        monkeypatch.setattr(counting, "_memo", memo)
+        for name in ("_combo_index", "_gap_matrix"):
+            def watched(n, *args, build=getattr(counting, name), name=name):
+                table = build(n, *args)
+                built.append((name, n, table.nbytes, weakref.ref(table)))
+                return table
+
+            monkeypatch.setattr(counting, name, watched)
         sigma = [(1, 2, 3), (1, 3, 2), (2, 3, 1)]
         assert count_avoiders(sigma, 26) == count_avoiders_tree(sigma, 26)
-        one_level = {n: sum(size for (m, _), size in level_cells.items() if m == n) for n, _ in held}
-        assert all(cells <= cap + one_level[n] for n, cells in held)
-        assert sum(level_cells.values()) > 10 * cap  # so the memo was emptied many times over
-        assert len(lookups) == len(set(lookups)) == 2 * 24  # once a level for all its chunks, lengths 2..25
+        one_level = {n: sum(size for _, m, size, _ in built if m == n) for n, _ in held}
+        assert all(size <= cap + one_level[n] for n, size in held)
+        assert sum(size for _, _, size, _ in built) > 10 * cap  # so the memo was emptied many times over
+        # each table built once a level for all its chunks, lengths 2..25, and held by the memo alone
+        assert sorted((name, n) for name, n, _, _ in built) == sorted(
+            [("_combo_index", n) for n in range(2, 26)] + [("_gap_matrix", n) for n in range(2, 26)] * 2
+        )
+        assert len(held) == len(built)
+        gc.collect()
+        alive = [ref() for _, _, _, ref in built if ref() is not None]
+        assert len(alive) == len(memo) and all(any(t is table for t in memo.values()) for table in alive)
+
+    def test_memo_cap_has_headroom_on_the_benchmark_workloads(self, monkeypatch):
+        # the cap costs these workloads nothing: their tables never empty the memo, nor reach 1 MiB,
+        # and each is built once for the whole process, however many counts look it up
+        emptied, held, keys = [], [], []
+
+        class Watched(dict):
+            def __setitem__(self, key, table):
+                super().__setitem__(key, table)
+                held.append(sum(t.nbytes for t in self.values()))
+                keys.append(key)
+
+            def clear(self):
+                emptied.append(len(self))
+                super().clear()
+
+        monkeypatch.setattr(counting, "_memo", Watched())
+        random_experiment(12, 13, 820, 42)
+        count_avoiders_many([r.patterns for r in enumerate_symmetry_classes(4, 4)], 10)
+        prop4 = (["45312:10101"], "2143,2413,3142")
+        prop7 = (["14253:10101", "15243:10101"], "2341,2413,2431,3241")
+        for texts, sigma in (prop4, prop7):
+            assert certify_avoidance([parse_template(t) for t in texts], parse_pattern_list(sigma)).verified
+        assert emptied == [] and 0 < max(held) < 1 << 20 and len(keys) == len(set(keys))
 
     def test_shared_reduced_pattern_matches_tree_oracle(self):
         # the oracle takes about 3 s to n=9 here, and about 12 s to n=10
@@ -436,14 +475,15 @@ def reference_plan(groups):
     """
     ``_plan`` in three steps, as the shared tree once built it: each group's
     patterns prepared and merged into a group plan, then the group plans
-    merged into (reduced, bits, m_idxs) checks, shortest first.
+    merged into (order, bits, m_idxs) checks, shortest first, each reduced
+    pattern's 0-based value order its inverse less one.
     """
     merged = {}
     for j, group in enumerate(groups):
         for reduced, m_idxs in reference_group_plan(reference_prepare(group)[1]):
             merged.setdefault(reduced, []).append((1 << j, m_idxs))
     return [
-        (reduced, [bit for bit, _ in merged[reduced]], tuple(m for _, m in merged[reduced]))
+        (tuple(v - 1 for v in perms.inverse(reduced)), [bit for bit, _ in merged[reduced]], tuple(m for _, m in merged[reduced]))
         for reduced in sorted(merged, key=lambda r: (len(r), r))
     ]
 
@@ -464,7 +504,7 @@ class TestSharedKernel:
             plan = counting._plan(groups)
             got = counting._child_masks(block, masks, plan)
             assert got.tolist() == per_group_masks(block, masks, groups).tolist(), (groups, block, masks)
-            seen |= {len(reduced) for reduced, _bits, _m_idxs in plan}
+            seen |= {len(order) for order, _bits, _m_idxs in plan}
             seen.add("shared" if any(len(bits) > 1 for _r, bits, _m in plan) else "alone")
             seen.add("high bit" if max(live) > 32 else "low bits")
         assert seen >= {0, 1, 2, 3, 4, "shared", "high bit"}
@@ -476,9 +516,9 @@ class TestSharedKernel:
             groups = random_groups(rng)
             plan = counting._plan(groups)
             assert all(bits.dtype == np.uint64 for _r, bits, _m in plan)
-            got = [(reduced, bits.tolist(), m_idxs) for reduced, bits, m_idxs in plan]
+            got = [(order, bits.tolist(), m_idxs) for order, bits, m_idxs in plan]
             assert got == reference_plan(groups), groups
-            seen |= {len(reduced) for reduced, _bits, _m_idxs in plan}
+            seen |= {len(order) for order, _bits, _m_idxs in plan}
             seen.add("shared" if any(len(bits) > 1 for _r, bits, _m in plan) else "alone")
             seen.add("empty pattern" if any(() in group for group in groups) else "no empty pattern")
             seen.add("64 groups" if len(groups) == 64 else "fewer groups")

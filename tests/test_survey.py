@@ -117,6 +117,13 @@ class TestSymmetryClasses:
         with pytest.raises(BudgetExceededError):
             enumerate_symmetry_classes(4, 4)
 
+    @pytest.mark.parametrize("num_patterns", [0, math.factorial(11)])
+    def test_budget_bounds_the_pattern_universe(self, monkeypatch, num_patterns):
+        # one subset, but 11! patterns to map: refused before symmetry_classes starts
+        monkeypatch.setattr(survey, "symmetry_classes", lambda *args: pytest.fail("symmetry_classes called"))
+        with pytest.raises(BudgetExceededError, match="^39916800 patterns of length 11 exceed the survey budget 10000000$"):
+            enumerate_symmetry_classes(num_patterns, 11)
+
 
 class TestWilfSurvey:
     def test_orbit_members_share_fingerprints(self):
