@@ -35,7 +35,7 @@ EXPERIMENT_TARGETS = {"zero": 0.233, "constant": 0.326, "degree_1": 0.315, "degr
 @dataclass
 class ClaimResult:
     claim: str
-    passed: bool
+    passed: bool = True
     lines: list[str] = field(default_factory=list)
 
     def add(self, ok: bool, text: str) -> None:
@@ -43,19 +43,15 @@ class ClaimResult:
         self.lines.append(f"{'ok  ' if ok else 'FAIL'} {text}")
 
 
-def _result(claim: str) -> ClaimResult:
-    return ClaimResult(claim=claim, passed=True)
-
-
 def check_catalan() -> ClaimResult:
-    res = _result("catalan")
+    res = ClaimResult("catalan")
     got = count_avoiders([parse_perm("132")], 12).counts
     res.add(got == CATALAN_12, f"132-avoider counts to n=12: expected {CATALAN_12}, got {got}")
     return res
 
 
 def check_table1() -> ClaimResult:
-    res = _result("table1")
+    res = ClaimResult("table1")
     for text, expected, degree in TABLE1:
         patterns = parse_pattern_list(text)
         got = count_avoiders(patterns, 10).counts[1:]
@@ -67,7 +63,7 @@ def check_table1() -> ClaimResult:
 
 
 def check_sym1524() -> ClaimResult:
-    res = _result("sym1524")
+    res = ClaimResult("sym1524")
     records = enumerate_symmetry_classes(4, 4)
     total = sum(r.orbit_size for r in records)
     res.add(len(records) == 1524, f"symmetry classes: expected 1524, got {len(records)}")
@@ -84,7 +80,7 @@ def _survey_4x4() -> tuple:
 
 
 def check_wilf1100() -> ClaimResult:
-    res = _result("wilf1100")
+    res = ClaimResult("wilf1100")
     distinct = cluster_fingerprints(_survey_4x4(), 10).num_distinct
     res.add(
         1100 <= distinct <= 1524,
@@ -94,7 +90,7 @@ def check_wilf1100() -> ClaimResult:
 
 
 def check_polyscan() -> ClaimResult:
-    res = _result("polyscan")
+    res = ClaimResult("polyscan")
     flagged = polynomial_scan(_survey_4x4(), 10, 7)
     total = len(flagged)
     res.add(50 <= total <= 75, f"polynomial classes at horizon 10: expected in [50, 75], got {total}")
@@ -108,7 +104,7 @@ def check_polyscan() -> ClaimResult:
 
 def _check_family(claim: str, templates: str, patterns: str, variants: int) -> ClaimResult:
     """A template family's certificate, its counting recurrence, and the lower bound it gives."""
-    res = _result(claim)
+    res = ClaimResult(claim)
     tset = parse_template_list(templates)
     sigma = parse_pattern_list(patterns)
     cert = certify_avoidance(tset, sigma)
@@ -131,7 +127,7 @@ def check_prop7() -> ClaimResult:
 
 
 def check_fiblike() -> ClaimResult:
-    res = _result("fiblike")
+    res = ClaimResult("fiblike")
     fit = detect_fib_like(list(FIB_EXAMPLE))
     got = None if fit is None else (fit.a, fit.b, fit.threshold)
     res.add(got == (0, -5, 6), f"drift recurrence on the 13-term example: expected (a,b,threshold)=(0,-5,6), got {got}")
@@ -141,7 +137,7 @@ def check_fiblike() -> ClaimResult:
 
 
 def check_experiment820() -> ClaimResult:
-    res = _result("experiment820")
+    res = ClaimResult("experiment820")
     exp = random_experiment(12, 13, 820, 42)  # the targets are calibrated on seed 42's draw
     fracs = exp.fractions
     for bucket, target in EXPERIMENT_TARGETS.items():

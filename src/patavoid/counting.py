@@ -47,13 +47,14 @@ row contains a pattern iff its parent, the row with its maximum deleted,
 does, or the row's maximum completes an occurrence, which is the
 ``_level_bad_gaps`` bit of the parent's gap where the maximum sits. The
 parents, each row without its entry n, are deduped by ``_distinct_rows``
-(one sort of packed keys, or ``np.lexsort`` past 16 entries) and recursed
-on once each, against the set's one ``_plan``, built once per question.
-That recursion is the only path: rows shorter than the set's shortest
-pattern contain none of it, and a set holding the empty pattern is
-contained in every row. Both moves of the tree, inserting the maximum
-(``_insert_max``) and deleting it, are one masked numpy step each, with no
-loop over positions.
+(one ``np.lexsort`` of the rows packed into uint64 words, at every width)
+and recursed on once each, against the set's one ``_plan``, built once per
+question. That recursion is the only path, and the plan alone ends it: rows
+no longer than its first check, the shortest pattern less its maximum,
+contain none of the set. The entries answer a set holding the empty
+pattern before they recurse: every row contains it. Both moves of the
+tree, inserting the maximum (``_insert_max``) and deleting it, are one
+masked numpy step each, with no loop over positions.
 
 Every counter that grows a tree takes its arguments through one rule,
 ``check_node_budget``: max_n must be >= 0, and so must the node budget,
@@ -215,8 +216,10 @@ def _plan(groups: Sequence[Iterable[Perm]]) -> Plan:
     each such group's sorted maximum positions. Patterns that share a
     reduced pattern differ only in where their maximum was, so one order
     check serves them all. The empty pattern has no check: the vector
-    grower starts from no rows when the set holds it, and the shared tree's
-    root carries the bit of the group that holds it.
+    grower starts from no rows when the set holds it, the shared tree's
+    root carries the bit of the group that holds it, and the containment
+    entries, ``rows_containing`` and ``templates._first_witness``, answer
+    it before they recurse.
     """
     merged: dict[Perm, dict[int, set[int]]] = {}
     for j, group in enumerate(groups):
@@ -294,37 +297,34 @@ def _level_bad_gaps(level: np.ndarray, plan: Plan) -> np.ndarray:
     return bad
 
 
-# entries of a packed row key: 4 bits each in a uint64, values 1..16
-_KEY_ENTRIES = 16
-
-
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     The distinct rows, sorted, of a (count, n) array of permutations, and
-    each row's index among them (int32). Up to ``_KEY_ENTRIES`` (16)
-    entries, each row packs into one uint64 key at 4 bits per entry, its
-    first entry highest, so key order is row order and one sort dedupes;
-    keys are built column by column. Longer rows are sorted by
-    ``np.lexsort``. Either way the distinct rows are one gather of the
-    first row of each run.
+    each row's index among them (int32). Each row packs into uint64 words
+    at ``(n - 1).bit_length()`` bits per entry (at least 1), ``64 // bits``
+    entries per word, its first entry highest, so word order is row order;
+    one ``np.lexsort`` sorts the words, a run ends where any word differs
+    from its neighbour's, and the distinct rows are one gather of the first
+    row of each run.
 
     >>> distinct, inverse = _distinct_rows(np.array([[2, 1], [1, 2], [2, 1]]))
     >>> distinct.tolist(), inverse.tolist()
     ([[1, 2], [2, 1]], [1, 0, 1])
     """
     count, n = rows.shape
-    if n > _KEY_ENTRIES:
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
-    else:
-        key = np.zeros(count, dtype=np.uint64)
-        for column in rows.T:
-            key <<= np.uint64(4)
-            key |= (column - 1).astype(np.uint64)
-        order = np.argsort(key, kind="stable")
-        ordered = key[order, None]
-    fresh = np.ones(count, dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    bits = max(1, (n - 1).bit_length())
+    per_word = 64 // bits
+    # one word at least, all zeros for rows of length 0
+    words = [np.zeros(count, dtype=np.uint64) for _ in range(0, max(n, 1), per_word)]
+    for i, column in enumerate(rows.T):
+        words[i // per_word] <<= np.uint64(bits)
+        words[i // per_word] |= (column - 1).astype(np.uint64)
+    order = np.lexsort(words[::-1])
+    fresh = np.zeros(count, dtype=bool)
+    fresh[:1] = True
+    for word in words:
+        ordered = word[order]
+        fresh[1:] |= ordered[1:] != ordered[:-1]
     distinct = rows[order[fresh]]
     inverse = np.empty(count, dtype=np.int32)
     index = np.cumsum(fresh, dtype=np.int32)
@@ -337,8 +337,8 @@ def rows_containing(rows: np.ndarray, patterns: Iterable[Sequence[int]]) -> np.n
     """
     Which rows of a (count, n) array of permutations contain some pattern of
     the set: ``perms.avoids`` negated for a whole array at once, by
-    ``_rows_containing`` on the set's one ``_plan``. An empty set's
-    shortest pattern counts as longer than the rows, so none contains it.
+    ``_rows_containing`` on the set's one ``_plan``. A set holding the empty
+    pattern, which ``_plan`` has no check for, is contained in every row.
 
     >>> rows_containing(np.array([[1, 3, 2], [3, 2, 1], [2, 1, 3]]), [(1, 2)]).tolist()
     [True, False, True]
@@ -348,29 +348,29 @@ def rows_containing(rows: np.ndarray, patterns: Iterable[Sequence[int]]) -> np.n
     30
     """
     sigma = pattern_set(patterns)
-    return _rows_containing(rows, _plan([sigma]), min(map(len, sigma), default=rows.shape[1] + 1))
+    return np.ones(len(rows), dtype=bool) if () in sigma else _rows_containing(rows, _plan([sigma]))
 
 
-def _rows_containing(rows: np.ndarray, plan: Plan, shortest: int) -> np.ndarray:
+def _rows_containing(rows: np.ndarray, plan: Plan) -> np.ndarray:
     """
-    Which rows contain some pattern of a set, given the set's one-group
-    ``_plan`` and its shortest pattern's length, on the counting kernel's
-    insertion-tree lemma. A row contains a pattern iff its parent, the row
-    with its maximum deleted, does, or some occurrence uses the maximum.
-    There the maximum plays the pattern's maximum, so the parent's gap where
-    it sits completes the pattern, which is what ``_level_bad_gaps`` reads
-    off ``_gap_matrix``. The parents are deduped by ``_distinct_rows`` and
-    recursed on once each, down to rows shorter than every pattern, which
-    contain none; a set holding the empty pattern, which ``_plan`` has no
-    check for, is contained in every row.
+    Which rows contain some pattern of a set with no empty pattern, given
+    the set's one-group ``_plan``, on the counting kernel's insertion-tree
+    lemma. A row contains a pattern iff its parent, the row with its maximum
+    deleted, does, or some occurrence uses the maximum. There the maximum
+    plays the pattern's maximum, so the parent's gap where it sits completes
+    the pattern, which is what ``_level_bad_gaps`` reads off
+    ``_gap_matrix``. The parents are deduped by ``_distinct_rows`` and
+    recursed on once each, down to rows no longer than the plan's first
+    (shortest) check, the shortest pattern less its maximum, which contain
+    none; an empty set, whose plan is empty, is contained in no row.
     """
     count, n = rows.shape
-    if shortest == 0 or n < shortest:  # the empty pattern is in every row, no other in a shorter one
-        return np.full(count, shortest == 0)
+    if not plan or n <= len(plan[0][0]):
+        return np.zeros(count, dtype=bool)
     parents, inverse = _distinct_rows(rows[rows != n].reshape(count, n - 1))
     # the recursion before the kernel, and no mask of the maximum held across
     # either: certify's peak RSS is 0.4 MB and 1.1 MB lower for these
-    out = _rows_containing(parents, plan, shortest)[inverse]
+    out = _rows_containing(parents, plan)[inverse]
     out |= _level_bad_gaps(parents, plan)[inverse][rows == n]  # the parent's gap where n sits
     return out
 

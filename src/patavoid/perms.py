@@ -12,8 +12,9 @@ Conventions used throughout the package:
   of distinct patterns sorted length-lexicographically, as produced by
   :func:`pattern_set`. The sorted-tuple form doubles as a total order on
   pattern sets, which is what makes canonical forms deterministic.
-- The text format is compact digits for length <= 9 (``2314``) and
-  comma-separated values otherwise (``10,1,2,...``); parsers accept both.
+- The text format is compact ASCII digits 1-9 for length <= 9 (``2314``)
+  and comma-separated ASCII decimal values otherwise (``10,1,2,...``,
+  spaces around a value allowed); parsers accept both and nothing else.
 - Surveys reuse a few patterns very many times, so checking a pattern
   tuple (``perm``), parsing a text (``parse_perm``) and formatting a
   permutation (``format_perm``, keyed on its tuple) are each memoized for
@@ -354,15 +355,15 @@ def _parsed(text: str) -> Perm:
     text = text.strip()
     if text == "":
         return ()
+    values = []
     if "," in text:
-        try:
-            values = [int(tok) for tok in text.split(",")]
-        except ValueError as e:
-            raise ValueError(f"bad permutation {text!r}: {e}") from None
+        for i, tok in enumerate(map(str.strip, text.split(","))):
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"bad permutation {text!r}: invalid literal {tok!r} at entry {i + 1}")
+            values.append(int(tok))
     else:
-        values = []
         for i, ch in enumerate(text):
-            if not ch.isdigit() or ch == "0":
+            if ch not in "123456789":
                 raise ValueError(
                     f"bad permutation {text!r}: invalid character {ch!r} at position {i + 1}"
                 )

@@ -23,7 +23,7 @@ family, and shift each block into place. Each length is one array, filled in
 place with the product of the shorter lengths' arrays per template and
 split, then sorted with repeats (members that fit several splits) dropped
 by ``counting._distinct_rows``, the dedupe ``rows_containing`` runs on its
-parents: one sort of packed keys up to length 16, ``np.lexsort`` past it.
+parents: one ``np.lexsort`` of the rows packed into uint64 words.
 
 The point of such families is the certification theorem: if the slot
 strings have at most k zeros and some member of the family contains a
@@ -285,12 +285,13 @@ def _first_witness(tset: TemplateSet, sigma: PatternSet, max_length: int) -> tup
     witness, else the last member of the last nonempty length checked), a
     tripwire on the kernel.
     """
+    if () in sigma and max_length >= 0:  # () is the first member, and every member holds the empty pattern
+        return (), ()
     plan = _plan([sigma])
-    shortest = min(map(len, sigma), default=max_length + 1)  # an empty set: longer than every member
     last = None
     for m in range(max_length + 1):
         rows = _family_at(tset, m)
-        found = np.flatnonzero(_rows_containing(rows, plan, shortest))
+        found = np.flatnonzero(_rows_containing(rows, plan))
         if found.size:
             pi = tuple(rows[found[0]].tolist())
             s = next((s for s in sigma if contains(pi, s)), None)

@@ -150,10 +150,17 @@ class TestBulkChecker:
         distinct, inverse = counting._distinct_rows(rows)
         assert distinct.tolist() == [list(p) for p in sorted(all_perms(6))]
         assert inverse.tolist() == list(range(720)) * 2
-        # one packed key holds 16 entries; past it np.lexsort sorts, with the same inverse
+        # every width where the bits per entry or the number of uint64 words changes;
+        # past one word, rows that differ only in the last word (in the last two
+        # entries where that word holds one) must still sort and split apart
         rng = random.Random(16)
-        for n in (16, 17, 18):
+        for n in (0, 1, 2, 8, 9, 16, 17, 24, 25, 32, 33, 40, 41, 64, 65):
+            per_word = 64 // max(1, (n - 1).bit_length())
             perms = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)]
+            if n > per_word:
+                head = min((n - 1) // per_word * per_word, n - 2)
+                for p in perms[:4]:
+                    perms += [p[:head] + tuple(rng.sample(p[head:], n - head)) for _ in range(6)]
             perms += perms[::3] + perms[:5]
             rng.shuffle(perms)
             distinct, inverse = counting._distinct_rows(np.array(perms, dtype=np.int16))
@@ -182,17 +189,17 @@ class TestBulkChecker:
             rows_containing(perms6, sigma)
             assert calls == [], sigma  # rows shorter than every pattern, or a set holding the empty one
         rows_containing(np.tile(np.arange(1, 19, dtype=np.int16), (64, 1)), [(1, 2)])
-        assert calls == [(64, 17)] + [(1, n) for n in range(16, 0, -1)]  # through np.lexsort, to one parent
+        assert calls == [(64, 17)] + [(1, n) for n in range(16, 0, -1)]  # 64 equal rows, one parent
         calls.clear()
         rng = random.Random(18)
         rows = np.array([rng.sample(range(1, 19), 18) for _ in range(64)], dtype=np.int16)
         rows_containing(rows, [(1, 2)])
-        assert calls[:2] == [(64, 17), (64, 16)]  # np.lexsort, then packed keys
+        assert calls[:2] == [(64, 17), (64, 16)]  # two words a row, then one
         assert [shape[1] for shape in calls] == list(range(17, 0, -1))
 
     @pytest.mark.parametrize("n", [16, 17, 18])
     def test_long_rows_around_the_key_limit(self, n):
-        # parents of length 15 and 16 fit one packed key; 17 go through np.lexsort
+        # parents of length 15 and 16 pack into one uint64 word, of length 17 into two
         rng = random.Random(n)
         perms = []
         for _ in range(30):

@@ -140,7 +140,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("sigma, n", [
         ([(1, 3, 2)], 6), ([(1, 2, 3, 4)], 7), ([(1, 2), (2, 1)], 4), ([(1, 3, 2)], 0),
-        ([(1, 3, 2), (2, 3, 1)], 12), ([(1, 3, 2), (2, 3, 1)], 17),  # one packed key per row up to 16 entries
+        ([(1, 3, 2), (2, 3, 1)], 12), ([(1, 3, 2), (2, 3, 1)], 17),  # one uint64 word per row up to 16 entries, then two
     ], ids=repr)
     def test_rows_in_lexicographic_order(self, sigma, n):
         rows = avoider_rows(sigma, n)

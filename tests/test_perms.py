@@ -263,6 +263,8 @@ class TestTextFormat:
         text = format_perm(pi)
         assert "," in text
         assert parse_perm(text) == pi
+        assert parse_perm(" 10 ,1,2,3,4,5,6,7,8, 9") == pi  # spaces around a value
+        assert parse_perm(" 2 , 1") == (2, 1)
 
     def test_any_sequence_formats_alike(self):
         # the memo is keyed on the tuple, so a list or a numpy row is not hashed itself
@@ -299,6 +301,12 @@ class TestTextFormat:
         ("1,,2", "'1,,2': invalid literal"),
         (12, "12: not a string"),
         ([2, 1], r"\[2, 1\]: not a string"),
+        ("٣١٢", "'٣١٢': invalid character '٣' at position 1"),  # Arabic-Indic digits
+        ("１２", "'１２': invalid character '１' at position 1"),  # fullwidth digits
+        ("2²1", "'2²1': invalid character '²' at position 2"),
+        ("1_0,2,3,4,5,6,7,8,9,1", "invalid literal '1_0' at entry 1"),
+        ("+2,1", r"'\+2,1': invalid literal '\+2' at entry 1"),
+        ("2,١", "'2,١': invalid literal '١' at entry 2"),  # int() alone would read 1
     ])
     def test_parse_table_errors_name_the_text(self, text, match):
         parse_pattern_set(["12", "21"])

@@ -383,7 +383,7 @@ class TestPersistence:
     @pytest.mark.parametrize("text, why", [
         ("1a3", "invalid character 'a' at position 2"),
         ("113", "not a bijection on 1..3"),
-        ("1,2,x", "invalid literal for int()"),
+        ("1,2,x", "invalid literal 'x' at entry 3"),
         (123, "not a string"),
     ])
     def test_bad_pattern_text_names_file_line_and_text(self, tmp_path, text, why):

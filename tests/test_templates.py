@@ -202,7 +202,7 @@ class TestFamilyArrays:
 
     @pytest.mark.parametrize("templates, sizes", [("12:11", [1, 1, 1, 1]), ("21:01,12:10", [2**14, 2**15, 2**16, 2**17])])
     def test_rows_sorted_past_the_packed_key(self, templates, sizes):
-        # rows of up to 16 entries dedupe on a packed key, longer ones by lexsort;
+        # rows of up to 16 entries pack into one uint64 word, longer ones into two;
         # 12:11 reaches the identity through every split
         tset = parse_template_list(templates)
         for n, size in zip((15, 16, 17, 18), sizes):
@@ -372,16 +372,19 @@ class TestWitnessOrder:
     def test_empty_pattern_witness_at_length_zero(self):
         want = scalar_first_witness([T_STACK], [()], 5)
         assert verify_family_avoids([T_STACK], [()], 5) == want[:2] == (False, ())
+        for max_length in (-1, 0):  # no length checked, then length 0 alone
+            want = scalar_first_witness([T_STACK], [(), (1, 2)], max_length)
+            assert verify_family_avoids([T_STACK], [(), (1, 2)], max_length) == want[:2], max_length
 
     def test_kernel_hit_unconfirmed_by_contains_raises(self, monkeypatch):
         # a kernel that flags every row: the first member, (), holds no 132
-        monkeypatch.setattr(templates, "_rows_containing", lambda rows, plan, shortest: np.ones(len(rows), dtype=bool))
+        monkeypatch.setattr(templates, "_rows_containing", lambda rows, plan: np.ones(len(rows), dtype=bool))
         with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 3, 2),) in (), perms.contains does not")):
             certify_avoidance([T_STACK], [(1, 3, 2)])
 
     def test_clean_scan_unconfirmed_by_contains_raises(self, monkeypatch):
         # a kernel that flags no row: perms.contains finds 12 in the last member checked
-        monkeypatch.setattr(templates, "_rows_containing", lambda rows, plan, shortest: np.zeros(len(rows), dtype=bool))
+        monkeypatch.setattr(templates, "_rows_containing", lambda rows, plan: np.zeros(len(rows), dtype=bool))
         with pytest.raises(RuntimeError, match=re.escape("finds a pattern of ((1, 2),) in (1, 2), the kernel does not")):
             certify_avoidance([template((1, 2), "11")], [(1, 2)])
         # the 12:00 family is empty past length 2, its bound 4: the last nonempty length is confirmed
