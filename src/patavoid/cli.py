@@ -60,14 +60,13 @@ def _emit_json(data) -> None:
 
 
 def _parse_seq(text: str) -> list[int]:
+    """Comma-separated integers: ASCII digits, at most one leading '-', spaces around an entry allowed."""
     out = []
     for i, tok in enumerate(t.strip() for t in text.split(",")):
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ValueError(f"bad sequence: entry {i + 1} ({tok!r}) is not an integer") from None
-    if not out:
-        raise ValueError("empty sequence")
+        digits = tok[1:] if tok.startswith("-") else tok
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"bad sequence: entry {i + 1} ({tok!r}) is not an integer")
+        out.append(int(tok))
     return out
 
 

@@ -15,6 +15,12 @@ Conventions used throughout the package:
 - The text format is compact ASCII digits 1-9 for length <= 9 (``2314``)
   and comma-separated ASCII decimal values otherwise (``10,1,2,...``,
   spaces around a value allowed); parsers accept both and nothing else.
+- A list argument, of patterns (``parse_pattern_list``) or of templates
+  (``templates.parse_template_list``), is one text of entries separated by
+  ',', or for patterns by ';' when a ';' appears, so long comma-separated
+  permutations can be listed. Spaces around an entry are allowed, no entry
+  may be empty, and an error names the entry's position, counted from 1.
+  ``parse_entries`` reads both kinds.
 - Surveys reuse a few patterns very many times, so checking a pattern
   tuple (``perm``), parsing a text (``parse_perm``) and formatting a
   permutation (``format_perm``, keyed on its tuple) are each memoized for
@@ -26,12 +32,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 Perm = tuple[int, ...]
 PatternSet = tuple[Perm, ...]
+
+_T = TypeVar("_T")
 
 _MEMO_SIZE = 4096  # bounded, since an input file may hold any number of distinct texts
 
@@ -404,13 +412,24 @@ def parse_pattern_list(text: str) -> PatternSet:
     semicolon appears, by ',' (the common case: compact entries like
     ``1234,1243``). Semicolons allow comma-separated long permutations.
     """
-    seps = ";" if ";" in text else ","
+    return pattern_set(parse_entries(text, ";" if ";" in text else ",", "pattern", parse_perm))
+
+
+def parse_entries(text: str, sep: str, kind: str, parse: Callable[[str], _T]) -> list[_T]:
+    """
+    The entries of a ``kind`` list, in order: ``text`` split on ``sep``,
+    each entry stripped and read by ``parse``. An empty entry, or one that
+    ``parse`` refuses with ValueError, raises ValueError naming its position.
+
+    >>> parse_entries("12, 21", ",", "pattern", parse_perm)
+    [(1, 2), (2, 1)]
+    """
     out = []
-    for i, tok in enumerate(tok.strip() for tok in text.split(seps)):
-        if tok == "":
-            raise ValueError(f"bad pattern list {text!r}: empty entry at position {i + 1}")
+    for i, tok in enumerate(tok.strip() for tok in text.split(sep)):
+        if not tok:
+            raise ValueError(f"bad {kind} list {text!r}: empty entry at position {i + 1}")
         try:
-            out.append(parse_perm(tok))
+            out.append(parse(tok))
         except ValueError as e:
-            raise ValueError(f"bad pattern list: entry {i + 1}: {e}") from None
-    return pattern_set(out)
+            raise ValueError(f"bad {kind} list: entry {i + 1}: {e}") from None
+    return out

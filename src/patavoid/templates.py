@@ -18,12 +18,14 @@ and ``_family_at`` alone refuses a negative length.
 
 Because the value ranges stack totally, each subword occupies a consecutive
 block of values, so generation is mechanical: choose a template, choose the
-subword sizes, pick each subword's content from the (memoized) smaller
-family, and shift each block into place. Each length is one array, filled in
-place with the product of the shorter lengths' arrays per template and
-split, then sorted with repeats (members that fit several splits) dropped
-by ``counting._distinct_rows``, the dedupe ``rows_containing`` runs on its
-parents: one ``np.lexsort`` of the rows packed into uint64 words.
+subword sizes, pick each subword's content from the smaller family, and
+shift each block into place. ``_family_at`` builds the lengths in order,
+shortest first, so every shorter length is already there: each length is
+one array, filled in place with the product of the shorter lengths' arrays
+per template and split, then sorted with repeats (members that fit several
+splits) dropped by ``counting._distinct_rows``, the dedupe
+``rows_containing`` runs on its parents: one ``np.lexsort`` of the rows
+packed into uint64 words.
 
 The point of such families is the certification theorem: if the slot
 strings have at most k zeros and some member of the family contains a
@@ -38,22 +40,24 @@ max-deleted parents, down to parents shorter than every pattern, and asks
 the counting kernel whether each member's maximum completes a pattern. The
 member its answer ends on is confirmed with ``perms.contains``.
 
-Generated families are memoized per (template set, length) for the life of
-the process as read-only (members, n) int16 arrays, rows sorted and
-distinct. A length whose members would take more than FAMILY_CELLS cells
-before the dedupe is refused with ``BudgetExceededError``, not allocated.
+Each template set's lengths 0, 1, 2, ... built so far are kept in order in
+one list of ``_families`` for the life of the process, as read-only
+(members, n) int16 arrays, rows sorted and distinct. A length whose members
+would take more than FAMILY_CELLS cells before the dedupe is refused with
+``BudgetExceededError``, not allocated and not stored; the shorter lengths
+stay.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .counting import BudgetExceededError, CountSequence, _distinct_rows, _plan, _rows_containing
-from .perms import PatternSet, Perm, contains, format_perm, parse_perm, pattern_set, perm
+from .perms import PatternSet, Perm, contains, format_perm, parse_entries, parse_perm, pattern_set, perm
 
 
 class Template(NamedTuple):
@@ -102,50 +106,32 @@ def parse_template(text: str) -> Template:
 
 
 def parse_template_list(text: str) -> TemplateSet:
-    """Comma-separated ``order:slots`` entries."""
-    entries = [tok.strip() for tok in text.split(",")]
-    out = []
-    for i, tok in enumerate(entries):
-        if not tok:
-            raise ValueError(f"bad template list {text!r}: empty entry at position {i + 1}")
-        try:
-            out.append(parse_template(tok))
-        except ValueError as e:
-            raise ValueError(f"bad template list: entry {i + 1}: {e}") from None
-    return template_set(out)
+    """Comma-separated ``order:slots`` entries, read by ``perms.parse_entries``."""
+    return template_set(parse_entries(text, ",", "template", parse_template))
 
 
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
 
-def _subword_sizes(n: int, slots: str) -> Iterable[tuple[int, ...]]:
+def _subword_sizes(n: int, slots: str) -> Iterator[tuple[int, ...]]:
     """
-    All ways to split n >= 2 elements over the slots: '0' slots take exactly
-    one, '1' slots take any count, and every slot stays strictly below n so
-    the recursion only ever consults shorter lengths.
+    All ways to split n >= 2 elements over the slots, each once: '0' slots
+    take exactly one, '1' slots take any count, and every slot stays
+    strictly below n so a length is built from shorter lengths only. Each
+    pick of a free slot, with repeats, adds one of the spare elements to it.
     """
     free = [i for i, b in enumerate(slots) if b == "1"]
     spare = n - (len(slots) - len(free))  # elements left for the free slots
     if spare < 0:
         return
-    sizes = [1] * len(slots)
-    if not free:
-        if spare == 0:
+    base = [int(b == "0") for b in slots]
+    for picks in itertools.combinations_with_replacement(free, spare):
+        sizes = base.copy()
+        for i in picks:
+            sizes[i] += 1
+        if max(sizes) < n:
             yield tuple(sizes)
-        return
-
-    def spread(idx: int, remaining: int):
-        if idx == len(free) - 1:
-            if remaining < n:
-                sizes[free[idx]] = remaining
-                yield tuple(sizes)
-            return
-        for take in range(min(remaining, n - 1) + 1):
-            sizes[free[idx]] = take
-            yield from spread(idx + 1, remaining - take)
-
-    yield from spread(0, spare)
 
 
 def _block_offsets(order: Perm, sizes: Sequence[int]) -> list[int]:
@@ -158,43 +144,9 @@ def _block_offsets(order: Perm, sizes: Sequence[int]) -> list[int]:
     return offsets
 
 
-FAMILY_CELLS = 1 << 29  # most int16 cells _family allocates for one length's members before the dedupe (1 GiB)
+FAMILY_CELLS = 1 << 29  # most int16 cells _family_at allocates for one length's members before the dedupe (1 GiB)
 
-
-@lru_cache(maxsize=None)
-def _family(templates: TemplateSet, n: int) -> np.ndarray:
-    """
-    The length-n members as a read-only (members, n) int16 array, rows
-    sorted and distinct. More than FAMILY_CELLS cells before the dedupe
-    raise BudgetExceededError.
-    """
-    if n < 2:
-        rows = np.ones((1, n), dtype=np.int16)  # () and (1,)
-    else:
-        splits = [
-            (sizes, _block_offsets(t.order, sizes), [_family(templates, s) for s in sizes])
-            for t in templates
-            for sizes in _subword_sizes(n, t.slots)
-        ]
-        total = sum(math.prod(map(len, subs)) for *_, subs in splits)
-        if total * n > FAMILY_CELLS:
-            raise BudgetExceededError(f"{total * n} cells of length-{n} members exceed the template family budget {FAMILY_CELLS}")
-        rows = np.empty((total, n), dtype=np.int16)
-        at = 0
-        for sizes, offsets, subs in splits:
-            counts = [len(sub) for sub in subs]
-            product = rows[at:at + math.prod(counts)]
-            at += len(product)
-            start = 0
-            for i, (sub, off) in enumerate(zip(subs, offsets)):
-                # every combination once: each choice of this slot under every choice of the
-                # earlier slots, repeated over every choice of the later ones
-                grid = product.reshape(math.prod(counts[:i]), counts[i], math.prod(counts[i + 1:]), n)
-                grid[..., start:start + sizes[i]] = (sub + off)[None, :, None]
-                start += sizes[i]
-        rows, _ = _distinct_rows(rows)  # splits may overlap
-    rows.flags.writeable = False
-    return rows
+_families: dict[TemplateSet, list[np.ndarray]] = {}  # each template set's lengths 0, 1, 2, ... built so far
 
 
 def generate_family(templates: Iterable[Template | tuple], n: int) -> frozenset[Perm]:
@@ -208,12 +160,47 @@ def generate_family(templates: Iterable[Template | tuple], n: int) -> frozenset[
 
 
 def _family_at(tset: TemplateSet, n: int) -> np.ndarray:
-    """The length-n members of ``_family``, under every family caller's one length rule: n >= 0."""
+    """
+    The length-n members as a read-only (members, n) int16 array, rows
+    sorted and distinct, under every family caller's one length rule:
+    n >= 0. The missing lengths up to n are built in order, shortest
+    first, and appended to the set's list in ``_families``. A length past
+    FAMILY_CELLS cells before the dedupe raises BudgetExceededError and is
+    not stored.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    for m in range(2, n):  # warm the cache iteratively; keeps recursion shallow
-        _family(tset, m)
-    return _family(tset, n)
+    family = _families.setdefault(tset, [])
+    while len(family) <= n:
+        m = len(family)
+        if m < 2:
+            rows = np.ones((1, m), dtype=np.int16)  # () and (1,)
+        else:
+            splits = [
+                (sizes, _block_offsets(t.order, sizes), [family[s] for s in sizes])
+                for t in tset
+                for sizes in _subword_sizes(m, t.slots)
+            ]
+            total = sum(math.prod(map(len, subs)) for *_, subs in splits)
+            if total * m > FAMILY_CELLS:
+                raise BudgetExceededError(f"{total * m} cells of length-{m} members exceed the template family budget {FAMILY_CELLS}")
+            rows = np.empty((total, m), dtype=np.int16)
+            at = 0
+            for sizes, offsets, subs in splits:
+                counts = [len(sub) for sub in subs]
+                product = rows[at:at + math.prod(counts)]
+                at += len(product)
+                start = 0
+                for i, (sub, off) in enumerate(zip(subs, offsets)):
+                    # every combination once: each choice of this slot under every choice of the
+                    # earlier slots, repeated over every choice of the later ones
+                    grid = product.reshape(math.prod(counts[:i]), counts[i], math.prod(counts[i + 1:]), m)
+                    grid[..., start:start + sizes[i]] = (sub + off)[None, :, None]
+                    start += sizes[i]
+            rows, _ = _distinct_rows(rows)  # splits may overlap
+        rows.flags.writeable = False
+        family.append(rows)
+    return family[n]
 
 
 # ---------------------------------------------------------------------------

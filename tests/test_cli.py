@@ -148,7 +148,7 @@ class TestTemplate:
 
     def test_certify_past_the_family_budget_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(templates, "FAMILY_CELLS", 5544)
-        templates._family.cache_clear()
+        templates._families.clear()
         code, out, err = run(
             capsys, "template", "certify", "--templates", "14253:10101,15243:10101", "--patterns", "351624"
         )
@@ -199,6 +199,16 @@ class TestAnalyze:
     def test_bad_entry(self, capsys):
         code, _, err = run(capsys, "analyze", "--seq", "1,2,three")
         assert code == 1 and "entry 3" in err
+
+    @pytest.mark.parametrize("seq", ["١,٢,٣,٤", "１,2,3,4", "1_0,2,3,4", "+1,2,3,4", "--1,2,3,4", "-,2,3,4"])
+    def test_only_ascii_digits_and_a_minus_sign(self, capsys, seq):
+        # int() reads Arabic-Indic and full-width digits, '_' separators and a '+' sign
+        entry = seq.split(",")[0]
+        assert run(capsys, "analyze", f"--seq={seq}") == (1, "", f"error: bad sequence: entry 1 ({entry!r}) is not an integer\n")
+
+    def test_negative_entries(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--seq=-1,0,1,2")
+        assert code == 0 and json.loads(out)["verdict"] == "polynomial" and json.loads(out)["degree"] == 1
 
     def test_three_terms_rejected(self, capsys):
         code, out, err = run(capsys, "analyze", "--seq", "1,2,3")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -341,7 +342,11 @@ class TestTextFormat:
         )
 
     def test_pattern_list_errors(self):
-        with pytest.raises(ValueError, match="entry 2"):
-            parse_pattern_list("132,1x2")
-        with pytest.raises(ValueError, match="empty"):
-            parse_pattern_list("132,,21")
+        for text, message in [
+            ("132,1x2", "bad pattern list: entry 2: bad permutation '1x2': invalid character 'x' at position 2"),
+            ("132,,21", "bad pattern list '132,,21': empty entry at position 2"),
+            ("123;", "bad pattern list '123;': empty entry at position 2"),
+            ("10,1,2;123", "bad pattern list: entry 1: bad permutation '10,1,2': not a bijection on 1..3"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                parse_pattern_list(text)

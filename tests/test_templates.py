@@ -123,6 +123,16 @@ class TestParsing:
         with pytest.raises(ValueError):
             template_set([((1, 2),)])
 
+    @pytest.mark.parametrize("text, message", [
+        ("231:101,,12:11", "bad template list '231:101,,12:11': empty entry at position 2"),
+        ("", "bad template list '': empty entry at position 1"),
+        ("231:101,12:1x", "bad template list: entry 2: slots must be a binary string, got '1x'"),
+        ("231:101, 231101", "bad template list: entry 2: bad template '231101': expected order:slots"),
+    ])
+    def test_list_errors(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_template_list(text)
+
 
 # Template instances that bypass template(): an order that is no permutation, a non-binary
 # slot, a length mismatch and the empty template
@@ -225,6 +235,41 @@ class TestFamilyArrays:
         cert = certify_avoidance(tset, [(2, 1)])
         assert cert.verified and cert.bound == 5
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_subword_sizes_match_brute_force(self, k):
+        # every split once: sizes 1 at '0' slots and 0..n-1 at '1' slots, adding up to n
+        for slots in map("".join, itertools.product("01", repeat=k)):
+            for n in range(2, 12):
+                choices = [range(n) if b == "1" else (1,) for b in slots]
+                want = [sizes for sizes in itertools.product(*choices) if sum(sizes) == n]
+                got = list(templates._subword_sizes(n, slots))
+                assert sorted(got) == want and len(set(got)) == len(got), (slots, n)
+
+    def test_lengths_built_once_in_order(self, monkeypatch):
+        monkeypatch.setattr(templates, "_families", {})
+        tset = template_set([T_STACK])
+        rows = _family_at(tset, 6)
+        family = templates._families[tset]
+        assert [a.shape for a in family] == [(1, 0), (1, 1), (2, 2), (5, 3), (14, 4), (42, 5), (132, 6)]
+        assert family[6] is rows and not any(a.flags.writeable for a in family)
+        built = list(family)
+
+        def no_split(*args):
+            raise AssertionError("a built length was built again")
+
+        monkeypatch.setattr(templates, "_subword_sizes", no_split)
+        assert _family_at(tset, 4) is built[4]
+        assert len(family) == 7 and all(a is b for a, b in zip(family, built))
+
+    def test_refused_length_not_stored(self, monkeypatch):
+        # lengths 7 and 8 of the pair family take 5544 and 23648 cells before the dedupe
+        monkeypatch.setattr(templates, "_families", {})
+        monkeypatch.setattr(templates, "FAMILY_CELLS", 5544)
+        tset = template_set(T_PAIR)
+        with pytest.raises(BudgetExceededError):
+            _family_at(tset, 8)
+        assert [a.shape for a in templates._families[tset]] == [(1, 0), (1, 1), (2, 2), (6, 3), (18, 4), (62, 5), (216, 6), (792, 7)]
+
     def test_cached_arrays_read_only(self):
         for n in range(5):
             rows = _family_at(template_set(T_PAIR), n)
@@ -318,7 +363,7 @@ class TestFamilyBudget:
     def test_length_past_the_budget_refused(self, monkeypatch):
         # the pair family's lengths 7 and 8 take 792 x 7 = 5544 and 2956 x 8 = 23648 cells before the dedupe
         monkeypatch.setattr(templates, "FAMILY_CELLS", 5544)
-        templates._family.cache_clear()
+        templates._families.clear()
         assert len(generate_family(T_PAIR, 7)) == 792
         message = "23648 cells of length-8 members exceed the template family budget 5544"
         for _ in range(2):  # nothing is cached from the refused length
